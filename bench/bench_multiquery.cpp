@@ -4,10 +4,11 @@
 /// sharing the device graph and fusing all queries' seeds into one
 /// kernel launch versus running one full engine per query.
 ///
-/// Both contenders sit behind the unified Engine interface: "multi"
-/// (shared GPMA, fused launches) and "gamma" (one device graph and
-/// launch per query) — the comparison is literally the same loop with a
-/// different registry name.
+/// Both contenders are the one device engine behind the unified Engine
+/// interface: "multi" (fused launches, graph update charged once) and
+/// "gamma" (one launch per query, graph update charged per query — the
+/// modeled cost of one device graph per query) — the comparison is
+/// literally the same loop with a different registry name.
 ///
 /// Expected shape: fused launches amortize device occupancy — modeled
 /// makespan grows sub-linearly in the number of registered queries,

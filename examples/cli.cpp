@@ -3,10 +3,10 @@
 /// graph/query files.  Engine choice is a flag, not a code path.
 ///
 /// Usage:
-///   ./example_cli [--engine SPEC] [--shards N] <graph-file> <query-file>
+///   ./example_cli [--engine SPEC] <graph-file> <query-file>
 ///                 [ins-rate%] [seed]
-///   ./example_cli [--engine SPEC] [--shards N] --demo  # built-in demo
-///   ./example_cli [--engine SPEC] [--shards N] --scenario NAME
+///   ./example_cli [--engine SPEC] --demo  # built-in demo
+///   ./example_cli [--engine SPEC] --scenario NAME
 ///                 [--seed N] [--checkpoint-dir DIR]
 ///                 [--checkpoint-every N]
 ///                 [--tenants N [--priority-mix CLASS[:W],...]]
@@ -24,10 +24,7 @@
 /// docs/ENGINES.md: a plain name ("gamma" (default), "multi", "tf",
 /// ...), a spec with inline options ("gamma(result_cap=100000)"), or a
 /// composed wrapper ("sharded(gamma, shards=4)"; the legacy
-/// "sharded:gamma@4" sugar still parses).  --shards N wraps the chosen
-/// engine in the sharded serving layer (serve/sharded_engine.hpp),
-/// equivalent to writing the sharded(...) spec yourself.  --scenario
-/// runs a named workload from the scenario catalog
+/// "sharded:gamma@4" sugar still parses).  --scenario runs a named workload from the scenario catalog
 /// (src/workload/scenario.hpp; docs/WORKLOADS.md) through the chosen
 /// engine and prints latency percentiles, throughput and truncation —
 /// the same driver bench_scenarios uses.
@@ -60,7 +57,6 @@
 #include <string>
 #include <vector>
 
-#include "core/stream_pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
@@ -69,6 +65,7 @@
 #include "graph/query_extractor.hpp"
 #include "graph/update_stream.hpp"
 #include "persist/checkpoint.hpp"
+#include "util/timer.hpp"
 #include "workload/scenario_runner.hpp"
 
 using namespace bdsm;
@@ -276,26 +273,17 @@ int RunDemo(const std::string& engine_name) {
   auto engine = MakeEngine(engine_name, g);
   QueryId qid = engine->AddQuery(*q);
   UpdateStreamGenerator gen(13);
-  std::vector<UpdateBatch> stream;
-  LabeledGraph evolving = g;
+  Timer wall;
   for (int i = 0; i < 3; ++i) {
-    UpdateBatch b =
-        SanitizeBatch(evolving, gen.MakeMixed(evolving, 200, 2, 1, 0));
-    ApplyBatch(&evolving, b);
-    stream.push_back(std::move(b));
-  }
-  StreamPipeline pipe(engine.get());
-  std::vector<BatchReport> reports;
-  PipelineStats stats = pipe.Run(stream, &reports);
-  for (size_t i = 0; i < reports.size(); ++i) {
-    const QueryReport* qr = reports[i].Find(qid);
-    printf("batch %zu: +%zu / -%zu matches, device %llu ticks\n", i + 1,
+    BatchReport r = engine->ProcessBatch(
+        gen.MakeMixed(engine->host_graph(), 200, 2, 1, 0));
+    const QueryReport* qr = r.Find(qid);
+    printf("batch %d: +%zu / -%zu matches, device %llu ticks\n", i + 1,
            qr->num_positive, qr->num_negative,
-           static_cast<unsigned long long>(
-               stats.batches[i].device.makespan_ticks));
+           static_cast<unsigned long long>(r.update_stats.makespan_ticks +
+                                           r.match_stats.makespan_ticks));
   }
-  printf("pipeline: %.2f ms wall, %.3f ms host prep hidden by overlap\n",
-         stats.wall_seconds * 1e3, stats.total_hidden_seconds * 1e3);
+  printf("stream: %.2f ms host wall\n", wall.ElapsedSeconds() * 1e3);
   return 0;
 }
 
@@ -325,10 +313,9 @@ int main(int argc, char** argv) {
   std::string metrics_json_path, trace_out_path;
   uint64_t scenario_seed = workload::kDefaultScenarioSeed;
   size_t checkpoint_every = 4;
-  long shards = 0;
   long tenants = 0;
   std::string priority_mix;
-  // Peel off --engine SPEC / --shards N / --scenario NAME / --seed N /
+  // Peel off --engine SPEC / --scenario NAME / --seed N /
   // --checkpoint-dir DIR / --checkpoint-every N / --restore DIR /
   // --tenants N / --priority-mix MIX / --list-engines wherever they
   // appear.
@@ -350,12 +337,6 @@ int main(int argc, char** argv) {
       restore_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--list-engines") == 0) {
       return ListEngines();
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::atol(argv[++i]);
-      if (shards < 1) {
-        fprintf(stderr, "--shards wants a positive count\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--tenants") == 0 && i + 1 < argc) {
       tenants = std::atol(argv[++i]);
       if (tenants < 1) {
@@ -372,19 +353,6 @@ int main(int argc, char** argv) {
       trace_out_path = argv[++i];
     } else {
       args.push_back(argv[i]);
-    }
-  }
-  if (shards > 0) {
-    // Wrap whatever spec --engine gave us; the tree nests arbitrarily.
-    try {
-      EngineSpec wrapped;
-      wrapped.name = "sharded";
-      wrapped.children.push_back(EngineSpec::Parse(engine_name));
-      wrapped.options.emplace_back("shards", std::to_string(shards));
-      engine_name = wrapped.ToString();
-    } catch (const EngineSpecError& e) {
-      fprintf(stderr, "%s\n", e.what());
-      return 2;
     }
   }
   if (std::optional<std::string> err =

@@ -1,10 +1,14 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 
 #include "baselines/csm_common.hpp"
-#include "core/multi_gamma.hpp"
+#include "core/encoder.hpp"
+#include "core/query_context.hpp"
+#include "core/wbm_kernel.hpp"
+#include "gpma/gpma.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "replica/group.hpp"
@@ -265,38 +269,21 @@ void Engine::DeliverDirect(const BatchOptions& options, QueryReport* qr,
 
 namespace {
 
-// ----------------------------------------------------------- GammaEngine
+// ------------------------------------------------------------ LeafEngine
 
-/// "gamma": the paper's single-query system, one full Gamma instance
-/// (own GPMA + encoder + device) per registered query.  This is the
-/// un-shared reference point the multi-query bench compares against.
-class GammaEngineBase : public Engine {
+/// Registration bookkeeping of the leaf engines: the evolving host graph
+/// plus one `Slot` per live query, in registration order.  A Slot has a
+/// public `id` and a `Query()` accessor returning its pattern.
+template <typename Slot>
+class LeafEngine : public Engine {
  public:
-  GammaEngineBase(const LabeledGraph& g, const EngineOptions& options)
-      : options_(options.gamma), graph_(g) {}
-
-  EngineInfo Describe() const override {
-    EngineInfo info;
-    info.canonical_spec = CanonicalSpecOrName();
-    info.clock = ClockDomain::kModeledDevice;
-    info.supports_snapshot = true;
-    info.tick_seconds = options_.device.TickSeconds();
-    return info;
-  }
-
-  QueryId AddQuery(const QueryGraph& q) override {
-    Slot slot;
-    slot.id = next_id_++;
-    slot.gamma = std::make_unique<Gamma>(graph_, q, options_);
-    slots_.push_back(std::move(slot));
-    return slots_.back().id;
-  }
+  explicit LeafEngine(const LabeledGraph& g) : graph_(g) {}
 
   std::vector<RegisteredQuery> RegisteredQueries() const override {
     std::vector<RegisteredQuery> out;
     out.reserve(slots_.size());
     for (const Slot& s : slots_) {
-      out.push_back(RegisteredQuery{s.id, s.gamma->query_context().q});
+      out.push_back(RegisteredQuery{s.id, s.Query()});
     }
     return out;
   }
@@ -327,186 +314,192 @@ class GammaEngineBase : public Engine {
   const LabeledGraph& host_graph() const override { return graph_; }
 
  protected:
-  struct Slot {
-    QueryId id = kInvalidQueryId;
-    std::unique_ptr<Gamma> gamma;
-  };
+  /// Appends `slot` under the next id and returns that id.
+  QueryId Register(Slot slot) {
+    slot.id = next_id_++;
+    slots_.push_back(std::move(slot));
+    return slots_.back().id;
+  }
 
-  GammaOptions options_;
   LabeledGraph graph_;  ///< canonical evolving host graph
   std::vector<Slot> slots_;
   QueryId next_id_ = 0;
 };
 
-}  // namespace
+// ---------------------------------------------------------- DeviceEngine
 
-// Named (not in the anonymous namespace) because Gamma befriends it to
-// expose its phase methods.
-class GammaEngine final : public GammaEngineBase {
- public:
-  using GammaEngineBase::GammaEngineBase;
-
-  const char* Name() const override { return "gamma"; }
-
- protected:
-  void RunMatchPhase(const UpdateBatch& batch, bool positive,
-                     const BatchOptions& /*options*/,
-                     BatchReport* report) override {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_[i];
-      WbmResult r = s.gamma->RunMatchPhase(batch, positive);
-      QueryReport* qr = &report->queries[i];  // InitReport order
-      GAMMA_CHECK(qr->id == s.id);
-      auto& dst = positive ? qr->positive_matches : qr->negative_matches;
-      dst.insert(dst.end(), std::make_move_iterator(r.matches.begin()),
-                 std::make_move_iterator(r.matches.end()));
-      qr->match_stats.MergeSequential(r.stats);
-      qr->timed_out = qr->timed_out || r.stats.timed_out;
-      qr->overflowed = qr->overflowed || r.overflowed;
-      // Separate launches run back to back on the one device.
-      report->match_stats.MergeSequential(r.stats);
-    }
-  }
-
-  void RunUpdatePhase(const UpdateBatch& batch,
-                      const BatchOptions& /*options*/,
-                      BatchReport* report) override {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_[i];
-      BatchResult tmp;
-      s.gamma->RunUpdatePhase(batch, &tmp);
-      QueryReport* qr = &report->queries[i];  // InitReport order
-      GAMMA_CHECK(qr->id == s.id);
-      qr->update_stats = tmp.update_stats;
-      qr->timed_out = qr->timed_out || tmp.update_stats.timed_out;
-      qr->preprocess_host_seconds = tmp.preprocess_host_seconds;
-      report->update_stats.MergeSequential(tmp.update_stats);
-      report->preprocess_host_seconds += tmp.preprocess_host_seconds;
-    }
-    // The canonical graph advances even with no queries registered.
-    ApplyBatch(&graph_, batch);
-  }
+/// One registered query of the device engine.
+struct DeviceSlot {
+  QueryId id = kInvalidQueryId;
+  QueryContext qctx;
+  std::unique_ptr<CandidateEncoder> encoder;
+  const QueryGraph& Query() const { return qctx.q; }
 };
 
-// ------------------------------------------------------ MultiGammaEngine
-
-/// "multi": one shared device graph and encoder set, every query's
-/// seeds fused into each kernel launch (MultiGamma).
-class MultiGammaEngine final : public Engine {
+/// "gamma" and "multi": the pipeline of Fig. 3 over one host graph, one
+/// GPMA and one simulated device, with only a query context and a
+/// candidate table per registered query.  The two names differ in how a
+/// batch is charged to the device:
+/// * "multi" fuses every query's seeds into one launch per polarity and
+///   charges the GPMA update once;
+/// * "gamma" launches once per query and charges the update once per
+///   live query — the paper's single-query system run side by side,
+///   whose per-query GPMAs (same graph, same batches) would be identical.
+class DeviceEngine final : public LeafEngine<DeviceSlot> {
  public:
-  MultiGammaEngine(const LabeledGraph& g, const EngineOptions& options)
-      : multi_(g, options.gamma) {}
+  DeviceEngine(const char* name, bool fused, const LabeledGraph& g,
+               const EngineOptions& options)
+      : LeafEngine(g),
+        name_(name),
+        fused_(fused),
+        options_(options.gamma),
+        gpma_(options.gamma.gpma_segment_capacity),
+        device_(options.gamma.device) {
+    gpma_.BuildFrom(graph_);
+  }
 
-  const char* Name() const override { return "multi"; }
+  const char* Name() const override { return name_; }
 
   EngineInfo Describe() const override {
     EngineInfo info;
     info.canonical_spec = CanonicalSpecOrName();
     info.clock = ClockDomain::kModeledDevice;
     info.supports_snapshot = true;
-    info.tick_seconds = multi_.options_.device.TickSeconds();
+    info.tick_seconds = options_.device.TickSeconds();
     return info;
   }
 
   QueryId AddQuery(const QueryGraph& q) override {
-    return static_cast<QueryId>(multi_.AddQuery(q));
+    DeviceSlot slot;
+    slot.qctx = BuildQueryContext(q, options_.coalesced_search,
+                                  options_.aggressive_coalescing);
+    slot.encoder = std::make_unique<CandidateEncoder>(q);
+    slot.encoder->BuildAll(graph_);
+    return Register(std::move(slot));
   }
-  bool RemoveQuery(QueryId id) override { return multi_.RemoveQuery(id); }
-
-  std::vector<RegisteredQuery> RegisteredQueries() const override {
-    std::vector<RegisteredQuery> out;
-    out.reserve(multi_.queries_.size());
-    for (const auto& pq : multi_.queries_) {
-      out.push_back(
-          RegisteredQuery{static_cast<QueryId>(pq.id), pq.qctx.q});
-    }
-    return out;
-  }
-
-  bool RestoreQuery(const QueryGraph& q, QueryId id) override {
-    if (id < multi_.next_query_id_) return false;
-    multi_.next_query_id_ = id;
-    return AddQuery(q) == id;
-  }
-
-  std::vector<QueryId> QueryIds() const override {
-    std::vector<QueryId> ids;
-    for (size_t id : multi_.QueryIds()) {
-      ids.push_back(static_cast<QueryId>(id));
-    }
-    return ids;
-  }
-
-  const LabeledGraph& host_graph() const override {
-    return multi_.host_graph();
-  }
-
-  MultiGamma& multi() { return multi_; }
 
  protected:
   void RunMatchPhase(const UpdateBatch& batch, bool positive,
                      const BatchOptions& /*options*/,
                      BatchReport* report) override {
-    MultiBatchResult mbr;
-    mbr.per_query.resize(multi_.NumQueries());
-    multi_.RunMatchAll(batch, positive, &mbr);
-    std::vector<size_t> ids = multi_.QueryIds();
-    bool launch_counted = false;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      BatchResult& src = mbr.per_query[i];
-      QueryReport* qr = &report->queries[i];  // InitReport order
-      GAMMA_CHECK(qr->id == static_cast<QueryId>(ids[i]));
-      auto& src_v = positive ? src.positive_matches : src.negative_matches;
-      auto& dst = positive ? qr->positive_matches : qr->negative_matches;
-      dst.insert(dst.end(), std::make_move_iterator(src_v.begin()),
-                 std::make_move_iterator(src_v.end()));
-      qr->match_stats.MergeSequential(src.match_stats);
-      qr->timed_out = qr->timed_out || src.match_stats.timed_out;
-      qr->overflowed = qr->overflowed || src.overflowed;
-      if (!launch_counted) {
-        // One fused launch shared by all queries: charge it once at the
-        // report level (every per_query record describes the same
-        // kernel).
-        report->match_stats.MergeSequential(src.match_stats);
-        launch_counted = true;
+    // Polarity-ordered seeds plus the order map the dedup rule reads.
+    std::vector<SeedEdge> seeds;
+    std::unordered_map<Edge, uint32_t, EdgeHash> order;
+    for (const UpdateOp& op : batch) {
+      if (op.is_insert != positive) continue;
+      const auto next = static_cast<uint32_t>(seeds.size());
+      seeds.push_back(SeedEdge{op.u, op.v, op.elabel, next});
+      order.emplace(Edge(op.u, op.v), next);
+    }
+    if (seeds.empty() || slots_.empty()) return;
+
+    // The launched tasks point into these envs: they must outlive every
+    // Launch below.
+    std::vector<WbmEnv> envs;
+    envs.reserve(slots_.size());
+    for (const DeviceSlot& s : slots_) {
+      envs.push_back(
+          WbmEnv{&gpma_, &s.qctx, s.encoder.get(), &order, positive});
+      envs.back().result_cap = options_.result_cap;
+    }
+    auto charge = [&](size_t i, const DeviceStats& stats, bool over) {
+      QueryReport& qr = report->queries[i];  // InitReport order
+      GAMMA_CHECK(qr.id == slots_[i].id);
+      qr.match_stats.MergeSequential(stats);
+      qr.timed_out = qr.timed_out || stats.timed_out;
+      qr.overflowed = qr.overflowed || over;
+    };
+
+    if (!fused_) {
+      // Separate launches run back to back on the one device.
+      for (size_t i = 0; i < slots_.size(); ++i) {
+        WbmResult r = RunWbmKernel(device_, envs[i], seeds);
+        auto& dst = Matches(&report->queries[i], positive);
+        dst.insert(dst.end(), std::make_move_iterator(r.matches.begin()),
+                   std::make_move_iterator(r.matches.end()));
+        charge(i, r.stats, r.overflowed);
+        report->match_stats.MergeSequential(r.stats);
+      }
+      return;
+    }
+
+    // One launch for every query: the result cap is launch-wide.
+    std::atomic<size_t> emitted{0};
+    std::atomic<bool> overflowed{false};
+    std::vector<std::vector<std::vector<MatchRecord>>> out(slots_.size());
+    std::vector<std::unique_ptr<WarpTask>> tasks;
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      if (envs[i].result_cap > 0) {
+        envs[i].emitted = &emitted;
+        envs[i].overflowed = &overflowed;
+      }
+      for (auto& t : MakeWbmTasks(envs[i], seeds, &out[i])) {
+        tasks.push_back(std::move(t));
       }
     }
+    const DeviceStats stats = device_.Launch(std::move(tasks));
+    const bool over = overflowed.load(std::memory_order_relaxed);
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      auto& dst = Matches(&report->queries[i], positive);
+      for (auto& s : out[i]) dst.insert(dst.end(), s.begin(), s.end());
+      // Every query's record describes the same shared kernel.
+      charge(i, stats, over);
+    }
+    report->match_stats.MergeSequential(stats);
   }
 
   void RunUpdatePhase(const UpdateBatch& batch,
                       const BatchOptions& /*options*/,
                       BatchReport* report) override {
-    MultiBatchResult mbr;
-    mbr.per_query.resize(multi_.NumQueries());
-    multi_.RunUpdate(batch, &mbr);
-    report->update_stats = mbr.update_stats;
-    report->preprocess_host_seconds = mbr.preprocess_host_seconds;
+    const UpdatePlan plan = gpma_.ApplyBatch(batch);
+    const DeviceStats update =
+        SimulateGpmaUpdate(device_, plan, options_.gpma);
+    Timer host;
+    ApplyBatch(&graph_, batch);
+    for (DeviceSlot& s : slots_) s.encoder->ApplyBatchDirty(graph_, batch);
+    report->preprocess_host_seconds = host.ElapsedSeconds();
+    // "multi" pays the shared update once, "gamma" once per live query.
+    if (fused_) report->update_stats = update;
     for (QueryReport& qr : report->queries) {
-      qr.update_stats = mbr.update_stats;
-      qr.timed_out = qr.timed_out || mbr.update_stats.timed_out;
-      qr.preprocess_host_seconds = mbr.preprocess_host_seconds;
+      qr.update_stats = update;
+      qr.timed_out = qr.timed_out || update.timed_out;
+      qr.preprocess_host_seconds = report->preprocess_host_seconds;
+      if (!fused_) report->update_stats.MergeSequential(update);
     }
   }
 
  private:
-  MultiGamma multi_;
+  static std::vector<MatchRecord>& Matches(QueryReport* qr, bool positive) {
+    return positive ? qr->positive_matches : qr->negative_matches;
+  }
+
+  const char* name_;
+  bool fused_;  ///< "multi": one launch per polarity, update charged once
+  GammaOptions options_;
+  Gpma gpma_;
+  Device device_;
 };
 
-namespace {
-
 // ------------------------------------------------------------ CsmAdapter
+
+/// One registered query of a CSM baseline.
+struct CsmSlot {
+  QueryId id = kInvalidQueryId;
+  std::unique_ptr<CsmEngine> engine;
+  const QueryGraph& Query() const { return engine->query(); }
+};
 
 /// The five sequential CPU baselines behind the Engine interface: one
 /// CsmEngine instance per registered query, each processing the batch
 /// edge-at-a-time.  Matching is interleaved with updates in the CSM
 /// chassis, so everything happens in RunUpdatePhase.
-class CsmAdapter final : public Engine {
+class CsmAdapter final : public LeafEngine<CsmSlot> {
  public:
   CsmAdapter(const char* registry_name, std::string csm_key,
              const LabeledGraph& g, const EngineOptions& options)
-      : name_(registry_name),
+      : LeafEngine(g),
+        name_(registry_name),
         csm_key_(std::move(csm_key)),
-        graph_(g),
         result_cap_(options.csm_result_cap),
         default_budget_(options.csm_budget_seconds) {}
 
@@ -521,47 +514,11 @@ class CsmAdapter final : public Engine {
   }
 
   QueryId AddQuery(const QueryGraph& q) override {
-    Slot slot;
-    slot.id = next_id_++;
+    CsmSlot slot;
     slot.engine = MakeCsmEngine(csm_key_, graph_, q);
     slot.engine->set_result_cap(result_cap_);
-    slots_.push_back(std::move(slot));
-    return slots_.back().id;
+    return Register(std::move(slot));
   }
-
-  std::vector<RegisteredQuery> RegisteredQueries() const override {
-    std::vector<RegisteredQuery> out;
-    out.reserve(slots_.size());
-    for (const Slot& s : slots_) {
-      out.push_back(RegisteredQuery{s.id, s.engine->query()});
-    }
-    return out;
-  }
-
-  bool RestoreQuery(const QueryGraph& q, QueryId id) override {
-    if (id < next_id_) return false;
-    next_id_ = id;
-    return AddQuery(q) == id;
-  }
-
-  bool RemoveQuery(QueryId id) override {
-    for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (it->id == id) {
-        slots_.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::vector<QueryId> QueryIds() const override {
-    std::vector<QueryId> ids;
-    ids.reserve(slots_.size());
-    for (const Slot& s : slots_) ids.push_back(s.id);
-    return ids;
-  }
-
-  const LabeledGraph& host_graph() const override { return graph_; }
 
  protected:
   void RunMatchPhase(const UpdateBatch&, bool, const BatchOptions&,
@@ -573,7 +530,7 @@ class CsmAdapter final : public Engine {
     double budget = options.budget_seconds > 0 ? options.budget_seconds
                                                : default_budget_;
     for (size_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_[i];
+      CsmSlot& s = slots_[i];
       QueryReport* qr = &report->queries[i];  // InitReport order
       GAMMA_CHECK(qr->id == s.id);
       Timer t;
@@ -592,18 +549,10 @@ class CsmAdapter final : public Engine {
   }
 
  private:
-  struct Slot {
-    QueryId id = kInvalidQueryId;
-    std::unique_ptr<CsmEngine> engine;
-  };
-
   const char* name_;
   std::string csm_key_;  ///< MakeCsmEngine key ("TF", "SYM", ...)
-  LabeledGraph graph_;   ///< canonical evolving host graph
   size_t result_cap_;
   double default_budget_;
-  std::vector<Slot> slots_;
-  QueryId next_id_ = 0;
 };
 
 std::string Canonical(const std::string& name) {
@@ -703,13 +652,13 @@ EngineRegistry::EngineRegistry() {
   gamma_def.example = "gamma(result_cap=100000)";
   gamma_def.factory = [](const EngineSpec&, const LabeledGraph& g,
                          const EngineOptions& o) {
-    return std::unique_ptr<Engine>(new GammaEngine(g, o));
+    return std::unique_ptr<Engine>(new DeviceEngine("gamma", false, g, o));
   };
   EngineDef multi_def = gamma_def;
   multi_def.example = "multi(budget=1.0)";
   multi_def.factory = [](const EngineSpec&, const LabeledGraph& g,
                          const EngineOptions& o) {
-    return std::unique_ptr<Engine>(new MultiGammaEngine(g, o));
+    return std::unique_ptr<Engine>(new DeviceEngine("multi", true, g, o));
   };
   Register("gamma", std::move(gamma_def));
   Register("multi", std::move(multi_def));

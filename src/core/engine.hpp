@@ -1,7 +1,7 @@
 /// \file engine.hpp
 /// The unified engine layer: every matching system in this repository —
-/// GAMMA (one device graph per query), MultiGamma (one shared device
-/// graph, fused launches) and the five sequential CSM baselines
+/// the GAMMA device engine ("gamma" launches per query, "multi" fuses
+/// every query into one launch) and the five sequential CSM baselines
 /// (TurboFlux, SymBi, RapidFlow, CaLiG, Graphflow) — behind one
 /// interface, so benches, examples and serving code select an engine by
 /// name instead of by code path.
@@ -39,10 +39,11 @@
 #include <vector>
 
 #include "core/engine_spec.hpp"
-#include "core/gamma.hpp"
 #include "core/match.hpp"
 #include "core/replication.hpp"
 #include "core/tenant.hpp"
+#include "gpma/gpma_kernel.hpp"
+#include "gpusim/device_config.hpp"
 #include "graph/labeled_graph.hpp"
 #include "graph/query_graph.hpp"
 #include "graph/update_stream.hpp"
@@ -99,6 +100,23 @@ class CollectingSink : public ResultSink {
   std::unordered_map<QueryId, std::vector<MatchRecord>> matches_;
 };
 
+/// Configuration of the device engine ("gamma", "multi").
+struct GammaOptions {
+  DeviceConfig device;          ///< steal_policy lives here (§V-A)
+  bool coalesced_search = true; ///< §V-B
+  /// Keep k >= 1 equivalent-edge groups even when their position orbits
+  /// carry different encoder constraints (see BuildQueryContext).
+  bool aggressive_coalescing = false;
+  GpmaKernelOptions gpma;       ///< CG + cached-layer options (§V-C)
+  /// Segment capacity of the GPMA (power of two).
+  uint32_t gpma_segment_capacity = 32;
+  /// Cap on incremental matches materialized per kernel launch
+  /// (0 = unlimited).  Queries whose result sets exceed it are reported
+  /// as unsolved, bounding memory the way the paper's 30-minute timeout
+  /// bounds its 128 GB testbed.
+  size_t result_cap = 1'500'000;
+};
+
 /// Per-ProcessBatch knobs.
 struct BatchOptions {
   /// Per-query host budget in seconds for the CPU (CSM) engines; 0 uses
@@ -114,9 +132,8 @@ struct BatchOptions {
 };
 
 /// One query's share of a batch: matches (or just counts when not
-/// materializing) plus the unified timing/truncation story that was
-/// previously split across BatchResult::TimedOut(),
-/// CsmEngine::timed_out() and BatchResult::overflowed.
+/// materializing) plus the timing/truncation story shared by every
+/// engine family.
 struct QueryReport {
   QueryId id = kInvalidQueryId;
 
@@ -275,9 +292,9 @@ struct EngineInfo {
   double tick_seconds = 0.0;
 };
 
-/// The unified engine interface.  Implementations: GammaEngine (one
-/// Gamma instance per query), MultiGammaEngine (shared device graph,
-/// fused launches), CsmAdapter (each CSM baseline).  Construct through
+/// The unified engine interface.  Implementations: the device engine
+/// ("gamma", "multi"), CsmAdapter (each CSM baseline) and the wrapper
+/// engines of serve/ and replica/.  Construct through
 /// MakeEngine()/EngineRegistry.
 class Engine {
  public:
@@ -353,7 +370,6 @@ class Engine {
                            const BatchOptions& options = {});
 
  protected:
-  friend class StreamPipeline;
   // The serving layer drives the same phases across inner engines it
   // owns (see serve/sharded_engine.hpp, serve/tenant_front_door.hpp),
   // and the replica group drives them on its leader and followers
@@ -363,11 +379,11 @@ class Engine {
   friend class replica::ReplicatedEngine;
 
   /// Template-method phases over a batch already sanitized against
-  /// host_graph().  StreamPipeline drives them directly so it can
-  /// overlap host preparation of batch i+1 with the positive phase of
-  /// batch i.  Engines whose processing cannot be split (the sequential
-  /// CSM chassis interleaves matching with updates) do all their work
-  /// in RunUpdatePhase and leave RunMatchPhase empty.
+  /// host_graph().  ProcessBatch drives them, and wrapper engines drive
+  /// them on the inner engines they own.  Engines whose processing
+  /// cannot be split (the sequential CSM chassis interleaves matching
+  /// with updates) do all their work in RunUpdatePhase and leave
+  /// RunMatchPhase empty.
   ///
   /// Phase contract: a driver must run every batch through the full,
   /// fixed sequence — RunMatchPhase(positive=false), RunUpdatePhase,
@@ -530,8 +546,8 @@ struct EngineDef {
 };
 
 /// Spec-tree-keyed engine factory.  Built-in names (case-insensitive):
-///   "gamma"              one device graph + kernel pipeline per query
-///   "multi"              shared device graph, fused multi-query launches
+///   "gamma"              device engine, one matching launch per query
+///   "multi"              device engine, fused multi-query launches
 ///   "tf" | "turboflux"   TurboFlux-lite   (CPU baseline)
 ///   "sym" | "symbi"      SymBi-lite       (CPU baseline)
 ///   "rf" | "rapidflow"   RapidFlow-lite   (CPU baseline)

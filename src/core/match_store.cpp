@@ -27,7 +27,7 @@ void MatchStore::ApplyDelta(const MatchRecord& m) {
   }
 }
 
-void MatchStore::Apply(const BatchResult& result) {
+void MatchStore::Apply(const QueryReport& result) {
   // Negatives first: a batch may retract a match and (through other
   // edges) create a structurally identical one.
   for (const MatchRecord& m : result.negative_matches) ApplyDelta(m);

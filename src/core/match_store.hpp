@@ -12,17 +12,18 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/gamma.hpp"
+#include "core/engine.hpp"
 #include "core/match.hpp"
 
 namespace bdsm {
 
 class MatchStore {
  public:
-  /// Applies one batch's deltas.  Positive matches are inserted,
-  /// negative matches removed; double-insert/missing-remove abort
-  /// (GAMMA guarantees exactly-once deltas, so either is a caller bug).
-  void Apply(const BatchResult& result);
+  /// Applies one query's batch deltas (a materialized report).
+  /// Positive matches are inserted, negative matches removed;
+  /// double-insert/missing-remove abort (GAMMA guarantees exactly-once
+  /// deltas, so either is a caller bug).
+  void Apply(const QueryReport& result);
   void ApplyDelta(const MatchRecord& m);
 
   size_t LiveCount() const { return live_.size(); }

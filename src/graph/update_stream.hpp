@@ -33,8 +33,8 @@ struct UpdateOp {
 
 /// A batch ∆B of updates; |∆B| > 1 makes the graph *batch-dynamic*.
 /// Engines only guarantee the *net* match difference across the whole
-/// batch; feed batches to Engine::ProcessBatch or StreamPipeline::Run,
-/// which sanitize them first (see SanitizeBatch).
+/// batch; feed batches to Engine::ProcessBatch, which sanitizes them
+/// first (see SanitizeBatch).
 using UpdateBatch = std::vector<UpdateOp>;
 
 /// Applies a batch to the host graph.  Deletions execute before

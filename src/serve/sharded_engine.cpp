@@ -311,9 +311,9 @@ void ShardedEngine::MergeIntoReport(const BatchOptions& options,
 void ShardedEngine::RunMatchPhase(const UpdateBatch& batch, bool positive,
                                   const BatchOptions& options,
                                   BatchReport* report) {
-  // The negative phase is always the first phase of a batch (both
-  // Engine::ProcessBatch and StreamPipeline run negative -> update ->
-  // positive), so it doubles as the per-batch reset point.
+  // The negative phase is always the first phase of a batch (every
+  // driver runs negative -> update -> positive), so it doubles as the
+  // per-batch reset point.
   if (!positive) BeginBatch(options);
   report->critical_path_seconds += ForEachShard(
       options, positive ? "match+" : "match-",

@@ -188,7 +188,7 @@ class ShardedEngine final : public Engine {
   /// replicas are identical at the barrier, so one coordinated snapshot
   /// of the public state (graph + public query set) covers every shard
   /// and lands in one manifest.  Covers every drive path (direct
-  /// ProcessBatch, StreamPipeline, SubmitBatch).  The checkpointer must
+  /// ProcessBatch, SubmitBatch).  The checkpointer must
   /// outlive the engine or be detached (nullptr) first; the caller must
   /// have Begin()-started it against this engine.  Do not also tee the
   /// same batches at the driver layer (ScenarioRunner's checkpointer
@@ -198,7 +198,7 @@ class ShardedEngine final : public Engine {
   }
 
   /// True once a batch failed mid-flight on any drive path (direct
-  /// ProcessBatch, StreamPipeline, or SubmitBatch).  A failure may
+  /// ProcessBatch or SubmitBatch).  A failure may
   /// leave the batch applied to some shard replicas and not others, so
   /// the engine poisons itself: every later batch — pending futures
   /// and direct calls alike — fails with the poison error instead of

@@ -85,7 +85,7 @@ struct ScenarioSpec {
   // by seeded random walks (graph/query_extractor.hpp).
   size_t num_queries = 4;
   size_t query_size = 5;  ///< |V(Q)|
-  /// Rotate Sparse/Tree/Dense across the set (stresses MultiGamma's
+  /// Rotate Sparse/Tree/Dense across the set (stresses "multi"'s
   /// cross-query sharing and ShardedEngine placement with heterogeneous
   /// per-query cost); when false, all queries use `query_class`.
   bool mixed_classes = true;

@@ -3,14 +3,14 @@
 /// to "handle as many scenarios as you can imagine").
 ///
 /// Each generator synthesizes a whole update stream — a sequence of
-/// `UpdateBatch`es in the exact format Engine::ProcessBatch and
-/// StreamPipeline already consume — against a private evolving replica
-/// of the data graph, so every batch is *valid by construction*: given
-/// the initial graph and the preceding batches applied in order, every
-/// op takes effect (inserts hit absent edges, deletes hit present
-/// ones).  That replayability is what makes a generated stream a
-/// reusable artifact (see workload/trace.hpp) and lets differential
-/// tests drive two engines over the identical stream.
+/// `UpdateBatch`es in the exact format Engine::ProcessBatch already
+/// consumes — against a private evolving replica of the data graph, so
+/// every batch is *valid by construction*: given the initial graph and
+/// the preceding batches applied in order, every op takes effect
+/// (inserts hit absent edges, deletes hit present ones).  That
+/// replayability is what makes a generated stream a reusable artifact
+/// (see workload/trace.hpp) and lets differential tests drive two
+/// engines over the identical stream.
 ///
 /// All randomness flows through util/rng.hpp from one explicit seed;
 /// the same (graph, StreamSpec, seed) triple always yields the

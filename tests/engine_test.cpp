@@ -1,8 +1,8 @@
 /// Unified-engine-layer tests: registry round-trip over every engine
 /// name, cross-engine result parity on one identical batch (GAMMA's net
 /// matches == each CSM baseline's NetEffect), streaming-sink vs
-/// materialized equivalence, dynamic AddQuery/RemoveQuery, and the
-/// unified truncation reporting.
+/// materialized equivalence, dynamic AddQuery/RemoveQuery, the device
+/// engine's two charging rules, and the unified truncation reporting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -283,6 +283,63 @@ TEST(EngineSinkTest, SinkAndMaterializeTogether) {
   }
 }
 
+// The device engine's two charging rules over one shared graph:
+// "gamma" charges each query as if it ran alone (bit-equal to one-query
+// engines), so the shared GPMA update is paid once per query; "multi"
+// fuses every query into one launch per polarity and pays the update
+// once.  Both find the same matches.
+TEST(EngineChargingTest, GammaPerQueryMultiFused) {
+  LabeledGraph g = GenerateUniformGraph(150, 500, 3, 1, 91);
+  QueryGraph star({1, 0, 0, 2});
+  star.AddEdge(0, 1);
+  star.AddEdge(0, 2);
+  star.AddEdge(0, 3);
+  const std::vector<QueryGraph> queries = {TriangleQuery(), PathQuery(),
+                                           star};
+
+  auto gamma = MakeEngine("gamma", g);
+  auto multi = MakeEngine("multi", g);
+  std::vector<std::unique_ptr<Engine>> singles;
+  for (const QueryGraph& q : queries) {
+    gamma->AddQuery(q);
+    multi->AddQuery(q);
+    singles.push_back(MakeEngine("gamma", g));
+    singles.back()->AddQuery(q);
+  }
+
+  UpdateStreamGenerator gen(92);
+  size_t matches = 0;
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    UpdateBatch batch = gen.MakeMixed(gamma->host_graph(), 40, 2, 1, 0);
+    BatchReport per_query = gamma->ProcessBatch(batch);
+    BatchReport fused = multi->ProcessBatch(batch);
+    ASSERT_EQ(per_query.queries.size(), queries.size());
+    ASSERT_EQ(fused.queries.size(), queries.size());
+    EXPECT_GT(fused.update_stats.makespan_ticks, 0u);
+    EXPECT_EQ(per_query.update_stats.makespan_ticks,
+              queries.size() * fused.update_stats.makespan_ticks);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE("query " + std::to_string(qi));
+      const QueryReport alone = singles[qi]->ProcessBatch(batch).queries[0];
+      const QueryReport& got = per_query.queries[qi];
+      EXPECT_EQ(got.update_stats, alone.update_stats);
+      EXPECT_EQ(got.match_stats, alone.match_stats);
+      EXPECT_EQ(got.positive_matches, alone.positive_matches);
+      EXPECT_EQ(got.negative_matches, alone.negative_matches);
+
+      const QueryReport& shared = fused.queries[qi];
+      EXPECT_EQ(shared.update_stats, fused.update_stats);
+      EXPECT_EQ(CanonicalKeys(shared.positive_matches),
+                CanonicalKeys(got.positive_matches));
+      EXPECT_EQ(CanonicalKeys(shared.negative_matches),
+                CanonicalKeys(got.negative_matches));
+      matches += got.TotalMatches();
+    }
+  }
+  EXPECT_GT(matches, 0u);  // the stream must exercise matching
+}
+
 // Queries registered/removed mid-stream: a query added after batch 1
 // sees exactly what a fresh engine over the evolved graph sees.
 TEST(EngineDynamicTest, AddQueryMidStream) {
@@ -336,6 +393,10 @@ TEST(EngineDynamicTest, RemoveQueryDropsItsResults) {
     QueryId wq = witness->AddQuery(TriangleQuery());
     BatchReport want = witness->ProcessBatch(batch);
     EXPECT_EQ(NetKeys(*report.Find(keep)), NetKeys(*want.Find(wq)));
+
+    // Removing the last query empties the engine but keeps it usable.
+    ASSERT_TRUE(engine->RemoveQuery(keep));
+    EXPECT_TRUE(engine->ProcessBatch(batch).queries.empty());
   }
 }
 

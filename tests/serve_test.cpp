@@ -1,8 +1,8 @@
 /// Serving-layer tests (src/serve/): ShardedEngine parity against the
 /// unsharded inner engine for every registry name, determinism across
 /// pool sizes, query removal on shards, streaming fan-in, the bounded
-/// SubmitBatch ingest queue (back-pressure), StreamPipeline over a
-/// sharded engine, and the registry's composite-spec syntax.
+/// SubmitBatch ingest queue (back-pressure), and the registry's
+/// composite-spec syntax.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/stream_pipeline.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/update_stream.hpp"
 #include "serve/sharded_engine.hpp"
@@ -639,32 +638,6 @@ TEST(ShardedEngineTest, TwoProducersBothProgressThroughTenantLayer) {
     EXPECT_EQ(c.offered_ops, c.admitted_ops + c.shed_ops);
   }
   EXPECT_EQ(tc->PendingOps(), 0u);
-}
-
-// StreamPipeline drives a sharded engine through the same phases it
-// drives any engine — bit-identical to per-batch ProcessBatch.
-TEST(ShardedEngineTest, StreamPipelineOverShardedIsBitIdentical) {
-  LabeledGraph g = GenerateUniformGraph(120, 420, 3, 1, 121);
-  std::vector<UpdateBatch> stream = MakeStream(g, 122);
-
-  ShardedEngine piped("gamma", 3, g);
-  ShardedEngine batched("gamma", 3, g);
-  for (const QueryGraph& q : FiveQueries()) {
-    piped.AddQuery(q);
-    batched.AddQuery(q);
-  }
-
-  StreamPipeline pipe(&piped);
-  std::vector<BatchReport> got;
-  PipelineStats stats = pipe.Run(stream, &got);
-  ASSERT_EQ(got.size(), stream.size());
-  EXPECT_GT(stats.TotalMatches(), 0u);
-
-  for (size_t i = 0; i < stream.size(); ++i) {
-    SCOPED_TRACE("batch " + std::to_string(i));
-    ExpectReportsEq(got[i], batched.ProcessBatch(stream[i]),
-                    /*with_stats=*/true);
-  }
 }
 
 TEST(ShardedSpecTest, CanonicalAndLegacySpecsResolve) {
