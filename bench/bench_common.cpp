@@ -67,18 +67,7 @@ CellResult RunEngineCell(const std::string& engine_name,
       continue;
     }
     cell.total_matches += qr->TotalMatches();
-    // The engine's declared clock picks the honest latency.
-    switch (info.clock) {
-      case ClockDomain::kModeledDevice:
-        total += qr->ModeledSeconds(opts.gamma.device);
-        break;
-      case ClockDomain::kCriticalPath:
-        total += report.critical_path_seconds;
-        break;
-      case ClockDomain::kHostWall:
-        total += qr->host_wall_seconds;
-        break;
-    }
+    total += report.latency_seconds;
     util += qr->match_stats.Utilization();
     ++cell.solved;
   }

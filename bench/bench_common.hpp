@@ -23,8 +23,8 @@
 /// * CSM baselines report host wall-clock (they are CPU systems); GAMMA
 ///   reports modeled device latency (simulated makespan ticks x clock,
 ///   preprocessing overlapped) — the honest analogue on a GPU-less host.
-///   RunEngineCell picks the right clock from Engine::Describe()
-///   (ClockDomain), and stamps every JSON row with the engine's
+///   RunEngineCell reads each batch's BatchReport::latency_seconds
+///   (the engine's Describe().clock), and stamps every JSON row with the engine's
 ///   canonical spec + clock for provenance (scripts/bench_diff.py
 ///   joins trajectories on those fields).  Shapes (who wins, trends),
 ///   not absolute 3090 numbers, are the reproduction target.
@@ -76,8 +76,8 @@ UpdateBatch MakeRateBatch(const LabeledGraph& g, const DatasetSpec& spec,
 /// Runs any registered engine spec over the query set; each query gets
 /// a fresh engine (index/device-graph built offline, not counted) and
 /// the batch re-applied.  `gamma_options` tunes the device engines (the
-/// CPU engines get the paper cap/budget from `scale`); latency follows
-/// the engine's declared clock (Engine::Describe().clock).
+/// CPU engines get the paper cap/budget from `scale`); latency is
+/// BatchReport::latency_seconds, on the engine's declared clock.
 CellResult RunEngineCell(const std::string& engine, const LabeledGraph& g,
                          const std::vector<QueryGraph>& queries,
                          const UpdateBatch& batch, const Scale& scale,

@@ -23,8 +23,8 @@
 /// SPEC is any engine spec per the canonical grammar of
 /// docs/ENGINES.md: a plain name ("gamma" (default), "multi", "tf",
 /// ...), a spec with inline options ("gamma(result_cap=100000)"), or a
-/// composed wrapper ("sharded(gamma, shards=4)"; the legacy
-/// "sharded:gamma@4" sugar still parses).  --scenario runs a named workload from the scenario catalog
+/// composed wrapper ("sharded(gamma, shards=4)").  --scenario runs a
+/// named workload from the scenario catalog
 /// (src/workload/scenario.hpp; docs/WORKLOADS.md) through the chosen
 /// engine and prints latency percentiles, throughput and truncation —
 /// the same driver bench_scenarios uses.
@@ -301,8 +301,6 @@ int ListEngines() {
            keys.empty() ? "(no options)" : "options: ",
            keys.c_str());
   }
-  printf("legacy sugar: \"sharded:<engine>[@N]\" still parses to the "
-         "canonical form.\n");
   return 0;
 }
 
@@ -441,25 +439,23 @@ int main(int argc, char** argv) {
   printf("batch: %zu insertions (%.1f%% of |E|)\n", batch.size(),
          100.0 * rate);
 
-  EngineOptions opts;
-  auto engine = MakeEngine(engine_name, g, opts);
+  auto engine = MakeEngine(engine_name, g);
   QueryId qid = engine->AddQuery(q);
   BatchReport report = engine->ProcessBatch(batch);
   const QueryReport& res = *report.Find(qid);
   printf("engine %s: incremental matches +%zu / -%zu%s\n", engine->Name(),
          res.num_positive, res.num_negative,
          res.Truncated() ? " (TRUNCATED: budget/cap hit)" : "");
-  if (engine->Describe().clock == ClockDomain::kModeledDevice) {
-    printf("modeled device: update %llu + match %llu ticks (%.3f ms); "
-           "utilization %.1f%%; host wall %.3f ms\n",
+  const ClockDomain clock = engine->Describe().clock;
+  printf("latency %.3f ms (%s); host wall %.3f ms\n",
+         report.latency_seconds * 1e3, ClockDomainName(clock),
+         report.host_wall_seconds * 1e3);
+  if (clock == ClockDomain::kModeledDevice) {
+    printf("modeled device: update %llu + match %llu ticks; "
+           "utilization %.1f%%\n",
            static_cast<unsigned long long>(res.update_stats.makespan_ticks),
            static_cast<unsigned long long>(res.match_stats.makespan_ticks),
-           res.ModeledSeconds(opts.gamma.device) * 1e3,
-           100.0 * res.match_stats.Utilization(),
-           res.host_wall_seconds * 1e3);
-  } else {
-    printf("sequential CPU baseline; host wall %.3f ms\n",
-           res.host_wall_seconds * 1e3);
+           100.0 * res.match_stats.Utilization());
   }
   prov.seed = seed;  // the file-run path parses its own seed operand
   return FinishObs(0, metrics_json_path, trace_out_path, prov);

@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
   fan.AddEdge(0, 1);
   fan.AddEdge(1, 2);
 
-  EngineOptions opts;
-  auto engine = MakeEngine("multi", g, opts);
+  auto engine = MakeEngine("multi", g);
+  const char* clock = ClockDomainName(engine->Describe().clock);
   QueryId q_diamond = engine->AddQuery(diamond);
 
   AlertSink alerts;
@@ -134,10 +134,10 @@ int main(int argc, char** argv) {
     BatchReport report = engine->ProcessBatch(batch, batch_opts);
     const QueryReport& d = *report.Find(q_diamond);
     printf("batch %zu: %3zu updates -> +%zu alerts, -%zu retractions "
-           "(open: %zu) | device %.1f us, util %.1f%%\n",
+           "(open: %zu) | %.1f us %s, util %.1f%%\n",
            b + 1, batch.size(), d.num_positive, d.num_negative,
            alerts.StoreFor(q_diamond).LiveCount(),
-           report.ModeledSeconds(opts.gamma.device) * 1e6,
+           report.latency_seconds * 1e6, clock,
            100.0 * report.match_stats.Utilization());
     if (q_fan != kInvalidQueryId) {
       const QueryReport* f = report.Find(q_fan);

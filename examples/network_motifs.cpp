@@ -72,9 +72,10 @@ int main(int argc, char** argv) {
   // Two engines, one interface: the GPU system and a sequential CSM
   // baseline, both registered with the same motif and fed the same
   // batches.
-  EngineOptions opts;
-  auto gamma = MakeEngine("gamma", g, opts);
-  auto csm = MakeEngine(baseline, g, opts);
+  auto gamma = MakeEngine("gamma", g);
+  auto csm = MakeEngine(baseline, g);
+  const ClockDomain gamma_clock = gamma->Describe().clock;
+  const ClockDomain csm_clock = csm->Describe().clock;
   QueryId gq = gamma->AddQuery(motif);
   QueryId cq = csm->AddQuery(motif);
 
@@ -90,11 +91,12 @@ int main(int argc, char** argv) {
     const QueryReport& cres = *cr.Find(cq);
     size_t csm_net = NetDelta(cres).size();
 
-    printf("batch %zu (%3zu ops): GAMMA +%zu/-%zu motifs, device %.1f us"
-           " | %s (sequential CSM) net %zu in %.1f us host\n",
+    printf("batch %zu (%3zu ops): GAMMA +%zu/-%zu motifs, %.1f us %s"
+           " | %s (sequential CSM) net %zu in %.1f us %s\n",
            b + 1, batch.size(), gres.num_positive, gres.num_negative,
-           gres.ModeledSeconds(opts.gamma.device) * 1e6, csm->Name(),
-           csm_net, cres.host_wall_seconds * 1e6);
+           gr.latency_seconds * 1e6, ClockDomainName(gamma_clock),
+           csm->Name(), csm_net, cr.latency_seconds * 1e6,
+           ClockDomainName(csm_clock));
   }
   printf("\nGAMMA processes the batch as one parallel kernel; the CSM "
          "baseline re-searches per edge — the gap grows with batch "

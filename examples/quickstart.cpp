@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
   q.AddEdge(1, 3);
 
   // The system: one registry call, one registered query.
-  EngineOptions opts;
-  auto engine = MakeEngine(engine_name, g, opts);
+  auto engine = MakeEngine(engine_name, g);
   QueryId qid = engine->AddQuery(q);
   printf("engine: %s\n", engine->Name());
 
@@ -75,16 +74,14 @@ int main(int argc, char** argv) {
     printf("  u0->v%u u1->v%u u2->v%u u3->v%u\n", m.m[0], m.m[1], m.m[2],
            m.m[3]);
   }
-  if (engine->Describe().clock == ClockDomain::kModeledDevice) {
-    printf("modeled device latency: %.3f us (update %llu + match %llu "
-           "ticks), utilization %.1f%%\n",
-           res.ModeledSeconds(opts.gamma.device) * 1e6,
+  const ClockDomain clock = engine->Describe().clock;
+  printf("latency: %.3f us (%s)\n", report.latency_seconds * 1e6,
+         ClockDomainName(clock));
+  if (clock == ClockDomain::kModeledDevice) {
+    printf("device: update %llu + match %llu ticks, utilization %.1f%%\n",
            static_cast<unsigned long long>(res.update_stats.makespan_ticks),
            static_cast<unsigned long long>(res.match_stats.makespan_ticks),
            100.0 * res.match_stats.Utilization());
-  } else {
-    printf("host wall: %.3f us (sequential CPU baseline)\n",
-           res.host_wall_seconds * 1e6);
   }
   return 0;
 }

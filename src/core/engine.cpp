@@ -90,6 +90,7 @@ BatchReport Engine::ProcessBatch(const UpdateBatch& raw_batch,
       qr.host_wall_seconds = report.host_wall_seconds;
     }
   }
+  report.latency_seconds = LatencySeconds(report);
 #if BDSM_OBS
   if (obs_on) {
     host_after[2] = report.host_wall_seconds;
@@ -105,18 +106,35 @@ BatchReport Engine::ProcessBatch(const UpdateBatch& raw_batch,
   return report;
 }
 
+double Engine::LatencySeconds(const BatchReport& report) {
+  if (clock_cache_ < 0) {
+    const EngineInfo info = Describe();
+    clock_cache_ = static_cast<int>(info.clock);
+    tick_seconds_cache_ = info.tick_seconds;
+  }
+  switch (static_cast<ClockDomain>(clock_cache_)) {
+    case ClockDomain::kModeledDevice:
+      // Device makespan overlapped with host preprocessing (§IV-A).
+      return std::max(static_cast<double>(report.update_stats.makespan_ticks +
+                                          report.match_stats.makespan_ticks) *
+                          tick_seconds_cache_,
+                      report.preprocess_host_seconds);
+    case ClockDomain::kCriticalPath:
+      return report.critical_path_seconds;
+    case ClockDomain::kHostWall:
+      return report.host_wall_seconds;
+  }
+  return report.host_wall_seconds;
+}
+
 void Engine::RecordBatchObs(const UpdateBatch& batch,
                             const BatchReport& report,
                             const double host_after[3],
                             uint64_t match_ticks_after_neg,
                             const double cp_after[3]) {
 #if BDSM_OBS
-  if (obs_clock_cache_ < 0) {
-    const EngineInfo info = Describe();
-    obs_clock_cache_ = static_cast<int>(info.clock);
-    obs_tick_seconds_ = info.tick_seconds;
-  }
-  const ClockDomain clock = static_cast<ClockDomain>(obs_clock_cache_);
+  // LatencySeconds ran first this batch, so the clock cache is filled.
+  const ClockDomain clock = static_cast<ClockDomain>(clock_cache_);
 
   // Counters: the registry-backed view of the report aggregates — read
   // from the same variables the report carries, so the two can never
@@ -141,39 +159,32 @@ void Engine::RecordBatchObs(const UpdateBatch& batch,
                      report.match_stats.global_transactions);
   BDSM_OBS_COUNT_US("engine.host_us", report.host_wall_seconds);
 
-  // Per-phase durations on the engine's own clock (Describe().clock),
-  // split the way ScenarioRunner's latency switch reads the report.
+  // Per-phase split of report.latency_seconds on the engine's own
+  // clock (Describe().clock).
   double phase_s[3] = {0.0, 0.0, 0.0};
-  double batch_latency = 0.0;
   switch (clock) {
     case ClockDomain::kModeledDevice: {
-      const double tick = obs_tick_seconds_;
+      const double tick = tick_seconds_cache_;
       phase_s[0] = static_cast<double>(match_ticks_after_neg) * tick;
       phase_s[1] =
           static_cast<double>(report.update_stats.makespan_ticks) * tick;
       phase_s[2] = static_cast<double>(report.match_stats.makespan_ticks -
                                        match_ticks_after_neg) *
                    tick;
-      // ModeledSeconds semantics: device makespan overlapped with host
-      // preprocessing.
-      batch_latency = std::max(phase_s[0] + phase_s[1] + phase_s[2],
-                               report.preprocess_host_seconds);
       break;
     }
     case ClockDomain::kCriticalPath:
       phase_s[0] = cp_after[0];
       phase_s[1] = cp_after[1] - cp_after[0];
       phase_s[2] = cp_after[2] - cp_after[1];
-      batch_latency = report.critical_path_seconds;
       break;
     case ClockDomain::kHostWall:
       phase_s[0] = host_after[0];
       phase_s[1] = host_after[1] - host_after[0];
       phase_s[2] = host_after[2] - host_after[1];
-      batch_latency = report.host_wall_seconds;
       break;
   }
-  BDSM_OBS_HISTOGRAM_US("engine.batch_us", batch_latency);
+  BDSM_OBS_HISTOGRAM_US("engine.batch_us", report.latency_seconds);
 
   obs::TraceRecorder& tracer = obs::TraceRecorder::Instance();
   if (tracer.enabled()) {
@@ -183,7 +194,7 @@ void Engine::RecordBatchObs(const UpdateBatch& batch,
     span.domain = domain;
     span.batch = obs_batch_seq_;
     span.start_s = obs_cursor_seconds_;
-    span.dur_s = batch_latency;
+    span.dur_s = report.latency_seconds;
     span.detail = "ops=" + std::to_string(batch.size());
     tracer.Record(std::move(span));
     static const char* kPhaseNames[3] = {"engine.match.neg",
@@ -201,7 +212,7 @@ void Engine::RecordBatchObs(const UpdateBatch& batch,
       tracer.Record(std::move(ps));
     }
   }
-  obs_cursor_seconds_ += batch_latency;
+  obs_cursor_seconds_ += report.latency_seconds;
   ++obs_batch_seq_;
 #else
   (void)batch;

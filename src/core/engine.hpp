@@ -155,15 +155,6 @@ struct QueryReport {
 
   size_t TotalMatches() const { return num_positive + num_negative; }
 
-  /// Modeled device latency (device engines): update + matching
-  /// makespan with CPU preprocessing overlapped (§IV-A).
-  double ModeledSeconds(const DeviceConfig& cfg) const {
-    double device = static_cast<double>(update_stats.makespan_ticks +
-                                        match_stats.makespan_ticks) *
-                    cfg.TickSeconds();
-    return std::max(device, preprocess_host_seconds);
-  }
-
   // Streaming bookkeeping (managed by Engine; not part of the API).
   size_t streamed_positive = 0;
   size_t streamed_negative = 0;
@@ -186,6 +177,13 @@ struct BatchReport {
   /// layer; 0 for single-instance engines.  This is the clock behind
   /// ClockDomain::kCriticalPath (see Engine::Describe()).
   double critical_path_seconds = 0.0;
+  /// This batch's latency on the engine's own clock (Describe().clock):
+  /// the modeled device makespan (update + matching ticks) overlapped
+  /// with host preprocessing (§IV-A) for kModeledDevice,
+  /// critical_path_seconds for kCriticalPath, host_wall_seconds for
+  /// kHostWall.  Filled once by Engine::ProcessBatch, the one place
+  /// that maps a clock to seconds; every consumer reads it from here.
+  double latency_seconds = 0.0;
   /// Ingest-path observability (serve layer): how long this batch sat
   /// in the ingest queue before processing started, and how many
   /// batches (ShardedEngine::SubmitBatch) or ops (TenantFrontDoor)
@@ -216,20 +214,13 @@ struct BatchReport {
     for (const QueryReport& q : queries) n += q.TotalMatches();
     return n;
   }
-
-  double ModeledSeconds(const DeviceConfig& cfg) const {
-    double device = static_cast<double>(update_stats.makespan_ticks +
-                                        match_stats.makespan_ticks) *
-                    cfg.TickSeconds();
-    return std::max(device, preprocess_host_seconds);
-  }
 };
 
 /// Which clock an engine's latencies must be read from.  The repo's
 /// measurement convention (docs/BENCHMARKS.md): never claim wall-clock
 /// parallelism this host cannot show.
 enum class ClockDomain {
-  kModeledDevice,  ///< BatchReport::ModeledSeconds (simulated makespan)
+  kModeledDevice,  ///< simulated makespan (BatchReport::latency_seconds)
   kCriticalPath,   ///< BatchReport::critical_path_seconds (sharded CPU)
   kHostWall,       ///< BatchReport::host_wall_seconds (sequential CPU)
 };
@@ -304,9 +295,10 @@ class Engine {
   virtual const char* Name() const = 0;
 
   /// Capability introspection: canonical spec, clock domain, shard
-  /// topology.  This is how drivers pick the right latency clock —
-  /// ScenarioRunner, bench_common and the examples all switch on
-  /// Describe().clock instead of probing concrete engine types.
+  /// topology.  ProcessBatch reads Describe().clock to fill
+  /// BatchReport::latency_seconds; drivers report it under
+  /// ClockDomainName(Describe().clock) instead of probing concrete
+  /// engine types.
   virtual EngineInfo Describe() const = 0;
 
   /// Registers a pattern against the *current* graph state; it takes
@@ -461,6 +453,10 @@ class Engine {
   friend class EngineRegistry;  // stamps canonical_spec_ post-factory
   std::string canonical_spec_;
 
+  /// The batch's latency on this engine's clock — the value of
+  /// BatchReport::latency_seconds (see there).  Caches Describe() on the
+  /// first call.
+  double LatencySeconds(const BatchReport& report);
   /// Publishes one batch's counters and clock-domain phase spans; only
   /// called from ProcessBatch when observability is runtime-enabled.
   /// `host_after`/`cp_after` are the cumulative host-wall /
@@ -472,9 +468,9 @@ class Engine {
                       uint64_t match_ticks_after_neg,
                       const double cp_after[3]);
   /// Cached Describe().clock / .tick_seconds (-1 = not yet cached) so
-  /// the per-batch publish never rebuilds EngineInfo strings.
-  int obs_clock_cache_ = -1;
-  double obs_tick_seconds_ = 0.0;
+  /// the per-batch latency never rebuilds EngineInfo strings.
+  int clock_cache_ = -1;
+  double tick_seconds_cache_ = 0.0;
 };
 
 /// Construction options for MakeEngine / EngineRegistry.
@@ -561,8 +557,7 @@ struct EngineDef {
 ///                        spec (replica/group.hpp)
 ///
 /// Specs follow the canonical grammar of core/engine_spec.hpp —
-/// `sharded(gamma, shards=8)`, `gamma(result_cap=100000)` — with the
-/// legacy `"sharded:gamma\@8"` form accepted as sugar.  Unknown names
+/// `sharded(gamma, shards=8)`, `gamma(result_cap=100000)`.  Unknown names
 /// and option keys raise EngineSpecError whose message lists the
 /// registered names / the engine's valid keys (docs/ENGINES.md).
 class EngineRegistry {

@@ -18,10 +18,6 @@
 ///   sharded(gamma, shards=8, threads=4)
 ///   sharded(sharded(rf, shards=2), shards=2)     // wrappers nest
 ///
-/// Legacy composite strings — `"sharded:gamma\@8"` — remain accepted as
-/// sugar: Parse desugars them to the canonical tree
-/// (`sharded(gamma, shards=8)`), so they build bit-identical engines.
-///
 /// Parsing and validation report user errors by throwing
 /// EngineSpecError with a message that names the bad token (and, at
 /// the registry layer, the sorted list of registered names / valid
@@ -59,7 +55,7 @@ struct EngineSpec {
   /// are validated against the engine's registered option table.
   std::vector<std::pair<std::string, std::string>> options;
 
-  /// Parses canonical or legacy-sugar text.  Throws EngineSpecError on
+  /// Parses canonical spec text.  Throws EngineSpecError on
   /// malformed input (bad token, unbalanced parens, trailing garbage);
   /// names are NOT checked against the registry here.
   static EngineSpec Parse(const std::string& text);

@@ -31,11 +31,6 @@ class Device {
   /// Deterministic for a given (cfg, tasks) regardless of host threads.
   DeviceStats Launch(std::vector<std::unique_ptr<WarpTask>> tasks);
 
-  /// Modeled wall-clock duration of a launch with the given stats.
-  double ModeledSeconds(const DeviceStats& stats) const {
-    return static_cast<double>(stats.makespan_ticks) * cfg_.TickSeconds();
-  }
-
  private:
   DeviceConfig cfg_;
   DeviceAllocator allocator_;

@@ -38,25 +38,11 @@ bool IsCheckpointArtifact(const std::string& name) {
          has_prefix_suffix("wal-", ".trc");
 }
 
-double ClockLatencySeconds(ClockDomain clock, const BatchReport& report,
-                           const DeviceConfig& device) {
-  switch (clock) {
-    case ClockDomain::kModeledDevice:
-      return report.ModeledSeconds(device);
-    case ClockDomain::kCriticalPath:
-      return report.critical_path_seconds;
-    case ClockDomain::kHostWall:
-      return report.host_wall_seconds;
-  }
-  return 0.0;
-}
-
 /// Folds one applied batch's report into the running aggregates (the
 /// same arithmetic on the live path and the restore-replay path, so
 /// restored totals match what an uninterrupted run accrues).
 void AccumulateTotals(SnapshotTotals* totals, const UpdateBatch& batch,
-                      const BatchReport& report, ClockDomain clock,
-                      const DeviceConfig& device) {
+                      const BatchReport& report) {
   totals->batches += 1;
   totals->ops += batch.size();
   size_t truncated = 0;
@@ -69,18 +55,14 @@ void AccumulateTotals(SnapshotTotals* totals, const UpdateBatch& batch,
   if (truncated > 0) totals->truncated_batches += 1;
   totals->update_makespan_ticks += report.update_stats.makespan_ticks;
   totals->match_makespan_ticks += report.match_stats.makespan_ticks;
-  totals->latency_seconds += ClockLatencySeconds(clock, report, device);
+  totals->latency_seconds += report.latency_seconds;
 }
 
 }  // namespace
 
 Checkpointer::Checkpointer(std::string dir, CheckpointPolicy policy,
-                           WalOptions wal_options,
-                           const DeviceConfig& device)
-    : dir_(std::move(dir)),
-      policy_(policy),
-      wal_options_(wal_options),
-      device_(device) {}
+                           WalOptions wal_options, const DeviceConfig&)
+    : dir_(std::move(dir)), policy_(policy), wal_options_(wal_options) {}
 
 Checkpointer::~Checkpointer() {
   try {
@@ -117,7 +99,6 @@ void Checkpointer::Begin(const Engine& engine, uint64_t seed,
 
   seed_ = seed;
   scenario_ = std::move(scenario);
-  clock_ = engine.Describe().clock;
   next_batch_ = stream_offset;
   totals_ = totals;
   ops_since_snapshot_ = 0;
@@ -208,7 +189,7 @@ void Checkpointer::OnBatchApplied(const Engine& engine,
   }
   ++next_batch_;
 
-  AccumulateTotals(&totals_, batch, report, clock_, device_);
+  AccumulateTotals(&totals_, batch, report);
 
   ++batches_since_snapshot_;
   ops_since_snapshot_ += batch.size();
@@ -296,8 +277,7 @@ void Checkpointer::Finish() {
 }
 
 RestoredEngine RestoreEngine(const std::string& checkpoint_dir,
-                             const EngineOptions& options,
-                             const DeviceConfig& device) {
+                             const EngineOptions& options) {
   RestoredEngine out;
   out.manifest = ReadManifest(checkpoint_dir);
   Snapshot snap =
@@ -313,7 +293,6 @@ RestoredEngine RestoreEngine(const std::string& checkpoint_dir,
   out.totals = snap.totals;
   out.next_batch = snap.stream_offset;
 
-  const ClockDomain clock = out.engine->Describe().clock;
   // One Poll() of the shared incremental reader IS the tail replay:
   // restore and replication followers read the log through the same
   // code path (persist/wal_reader.hpp).  The manifest was just read,
@@ -329,9 +308,9 @@ RestoredEngine RestoreEngine(const std::string& checkpoint_dir,
   out.wal_tail_torn = tail.torn;
   for (const UpdateBatch& batch : tail.batches) {
     BatchReport report = out.engine->ProcessBatch(batch);
-    AccumulateTotals(&out.totals, batch, report, clock, device);
+    AccumulateTotals(&out.totals, batch, report);
     out.tail_ops += batch.size();
-    out.tail_latency_seconds += ClockLatencySeconds(clock, report, device);
+    out.tail_latency_seconds += report.latency_seconds;
     ++out.next_batch;
     ++out.wal_batches_replayed;
   }

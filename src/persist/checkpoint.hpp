@@ -21,11 +21,10 @@
 ///   // resume the stream at r.next_batch.
 ///
 /// Drivers plug it in at the layer they own: ScenarioRunner tees via
-/// RunControls::checkpointer; the sharded serving layer tees inside
-/// its own batch barrier via ShardedEngine::AttachCheckpointer (all
-/// shard replicas are coordinated-identical there, so one snapshot of
-/// the public state covers every shard and lands in one manifest).
-/// Attach at exactly one layer — two tees would log every batch twice.
+/// RunControls::checkpointer, and the replica group tees from its
+/// OnBatchDigested hook (replica/group.hpp).  Both see the outermost
+/// engine's final BatchReport.  Attach at exactly one layer — two tees
+/// would log every batch twice.
 #pragma once
 
 #include <memory>
@@ -56,10 +55,10 @@ struct CheckpointPolicy {
 
 class Checkpointer {
  public:
-  /// `device` supplies the tick scale for modeled-clock engines when
-  /// accumulating SnapshotTotals::latency_seconds (pass the same
-  /// DeviceConfig the engine was built with, i.e.
-  /// EngineOptions::gamma.device).
+  /// The DeviceConfig argument is ignored: the running
+  /// SnapshotTotals::latency_seconds sums BatchReport::latency_seconds,
+  /// which the engine already computed on its own clock.  The
+  /// parameter stays for source compatibility with existing callers.
   explicit Checkpointer(std::string dir, CheckpointPolicy policy = {},
                         WalOptions wal_options = {},
                         const DeviceConfig& device = {});
@@ -111,11 +110,9 @@ class Checkpointer {
   std::string dir_;
   CheckpointPolicy policy_;
   WalOptions wal_options_;
-  DeviceConfig device_;
 
   uint64_t seed_ = 0;
   std::string scenario_;
-  ClockDomain clock_ = ClockDomain::kHostWall;
   uint64_t next_batch_ = 0;
   size_t ops_since_snapshot_ = 0;
   size_t batches_since_snapshot_ = 0;
@@ -140,8 +137,7 @@ struct RestoredEngine {
   /// stopped at the last durable batch, as designed.
   bool wal_tail_torn = false;
   /// The replayed tail alone: update ops it carried and its summed
-  /// latency under the restored engine's clock (totals minus the
-  /// snapshot's share).  The replica layer's failover model charges
+  /// BatchReport::latency_seconds (totals minus the snapshot's share).  The replica layer's failover model charges
   /// catch-up from these (replica/transport.hpp).
   uint64_t tail_ops = 0;
   double tail_latency_seconds = 0.0;
@@ -150,12 +146,10 @@ struct RestoredEngine {
 /// Warm start from a checkpoint directory: manifest -> snapshot ->
 /// engine rebuild -> WAL tail replay.  Cost is O(snapshot + tail).
 /// `options` rebuilds the engine (pass what the original run used;
-/// inline spec options override as usual); `device` scales modeled
-/// latency while re-accumulating tail totals.  Throws PersistError on
-/// any unrecoverable state (no manifest, corrupt snapshot, mid-stream
-/// WAL corruption, spec no longer registered).
+/// inline spec options override as usual).  Throws PersistError on any
+/// unrecoverable state (no manifest, corrupt snapshot, mid-stream WAL
+/// corruption, spec no longer registered).
 RestoredEngine RestoreEngine(const std::string& checkpoint_dir,
-                             const EngineOptions& options = {},
-                             const DeviceConfig& device = {});
+                             const EngineOptions& options = {});
 
 }  // namespace bdsm::persist

@@ -60,8 +60,7 @@ RestartOutcome RunRestartScenario(const workload::ScenarioSpec& spec,
   }
 
   // 3. Warm restore: snapshot + WAL tail.
-  RestoredEngine restored =
-      RestoreEngine(checkpoint_dir, options, options.gamma.device);
+  RestoredEngine restored = RestoreEngine(checkpoint_dir, options);
   out.restored_at = restored.next_batch;
   out.wal_batches_replayed = restored.wal_batches_replayed;
   out.wal_tail_torn = restored.wal_tail_torn;

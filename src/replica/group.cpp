@@ -57,8 +57,7 @@ ReplicatedEngine::ReplicatedEngine(const EngineSpec& spec,
   policy.prune = true;
   persist::WalOptions wal;
   wal.batches_per_segment = options_.replica.segment_batches;
-  checkpointer_ = std::make_unique<persist::Checkpointer>(
-      dir_, policy, wal, options_.gamma.device);
+  checkpointer_ = std::make_unique<persist::Checkpointer>(dir_, policy, wal);
 
   const std::string inner = leader_->Describe().canonical_spec;
   size_t n = options_.replica.followers;
@@ -247,8 +246,7 @@ bool ReplicatedEngine::Failover() {
   // The promoted leader restores from the durable chain: latest
   // checkpoint generation + WAL tail.  Everything the old leader
   // acknowledged was fsynced before the kill, so this loses nothing.
-  persist::RestoredEngine restored =
-      persist::RestoreEngine(dir_, options_, options_.gamma.device);
+  persist::RestoredEngine restored = persist::RestoreEngine(dir_, options_);
 
   // Zero-loss verification: the elected follower's live replica,
   // drained to the durable end of the log, must agree with the

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "persist/checkpoint.hpp"
 #include "serve/tenant_front_door.hpp"
 #include "util/common.hpp"
 #include "util/timer.hpp"
@@ -27,7 +26,7 @@ ShardedEngine::ShardedEngine(const EngineSpec& inner, size_t num_shards,
     shards_.push_back(std::move(shard));
   }
   // Compose the canonical spec from the *built* inner engine (aliases
-  // and legacy sugar resolved by the registry), not the raw argument,
+  // resolved by the registry), not the raw argument,
   // materializing every non-default knob of this layer — whether it
   // arrived inline (threads=2) or via EngineOptions — so Name() and
   // Describe().canonical_spec fully identify the configuration (they
@@ -321,14 +320,6 @@ void ShardedEngine::RunMatchPhase(const UpdateBatch& batch, bool positive,
         shard.engine->RunMatchPhase(batch, positive, inner, &shard.scratch);
       });
   MergeIntoReport(options, report);
-  // The positive phase closes a batch: every shard replica has applied
-  // it and the merged report is final modulo wall timing — the batch
-  // barrier the coordinated snapshot design requires.  (The WAL
-  // receives the sanitized batch; re-sanitizing it on replay against
-  // the same replica state is the identity.)
-  if (positive && checkpointer_ != nullptr) {
-    checkpointer_->OnBatchApplied(*this, batch, *report);
-  }
 }
 
 void ShardedEngine::RunUpdatePhase(const UpdateBatch& batch,

@@ -133,17 +133,7 @@ ScenarioReport ScenarioRunner::Run(const std::string& engine_spec,
       m.negative_matches += qr.num_negative;
       if (qr.Truncated()) ++m.truncated_queries;
     }
-    switch (info.clock) {
-      case ClockDomain::kModeledDevice:
-        m.latency_seconds = report.ModeledSeconds(options.gamma.device);
-        break;
-      case ClockDomain::kCriticalPath:
-        m.latency_seconds = report.critical_path_seconds;
-        break;
-      case ClockDomain::kHostWall:
-        m.latency_seconds = report.host_wall_seconds;
-        break;
-    }
+    m.latency_seconds = report.latency_seconds;
     m.queue_wait_seconds = report.queue_wait_seconds;
     m.queue_depth = report.queue_depth;
     out.total_ops += m.ops;

@@ -2,10 +2,7 @@
 /// registered engine (nesting, aliases, case and whitespace
 /// normalization), the friendly error paths (unknown engine / unknown
 /// option key / bad value / bad nesting / trailing garbage — all
-/// EngineSpecError, never an abort), registry validation, and the
-/// legacy-sugar equivalence: "sharded:gamma@2" and
-/// "sharded(gamma, shards=2)" build engines whose BatchReports are
-/// bit-identical on a seeded scenario stream.
+/// EngineSpecError, never an abort) and registry validation.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -57,10 +54,6 @@ TEST(EngineSpecTest, CaseAndWhitespaceNormalize) {
   EXPECT_EQ(EngineSpec::Parse("  sharded ( gamma , shards = 8 )  "),
             canonical);
   EXPECT_EQ(EngineSpec::Parse("sharded(GAMMA, SHARDS=8)"), canonical);
-  // Legacy sugar tolerates surrounding whitespace too (an --engine
-  // comma list splits into " sharded:gamma@8"-shaped fragments).
-  EXPECT_EQ(EngineSpec::Parse(" sharded:gamma@8 "),
-            EngineSpec::Parse("sharded:gamma@8"));
 }
 
 TEST(EngineSpecTest, OptionsKeepOrderAndLastBindingWins) {
@@ -69,17 +62,6 @@ TEST(EngineSpecTest, OptionsKeepOrderAndLastBindingWins) {
   ASSERT_NE(spec.FindOption("result_cap"), nullptr);
   EXPECT_EQ(*spec.FindOption("result_cap"), "9");  // last one wins
   EXPECT_EQ(spec.FindOption("no-such-key"), nullptr);
-}
-
-TEST(EngineSpecTest, LegacySugarDesugarsToCanonicalTree) {
-  EXPECT_EQ(EngineSpec::Parse("sharded:gamma@8"),
-            EngineSpec::Parse("sharded(gamma, shards=8)"));
-  EXPECT_EQ(EngineSpec::Parse("sharded:gamma"),
-            EngineSpec::Parse("sharded(gamma)"));
-  EXPECT_EQ(EngineSpec::Parse("SHARDED:TurboFlux@2"),
-            EngineSpec::Parse("sharded(turboflux, shards=2)"));
-  EXPECT_EQ(EngineSpec::Parse("sharded:gamma@8").ToString(),
-            "sharded(gamma, shards=8)");
 }
 
 TEST(EngineSpecTest, ParseErrorsNameTheBadToken) {
@@ -92,12 +74,17 @@ TEST(EngineSpecTest, ParseErrorsNameTheBadToken) {
            "gamma)x",             // trailing garbage
            "gamma extra",         // trailing garbage, space-separated
            "sharded(gamma,)",     // dangling comma
-           "sharded:gamma@",      // legacy: empty shard count
-           "sharded:gamma@0",     // legacy: zero shards
-           "sharded:gamma@x",     // legacy: non-numeric shards
-           "sharded:gamma@2@3",   // legacy: double @
-           "sharded:sharded:gamma",  // legacy specs do not nest
-           "a:b(c)",              // ':' only valid in the legacy shape
+           // The removed legacy "prefix:inner[@N]" sugar: ':' and '@'
+           // are ordinary grammar errors now.
+           "sharded:gamma@2",
+           "sharded:gamma",
+           "sharded:gamma@",
+           "sharded:gamma@0",
+           "sharded:gamma@x",
+           "sharded:gamma@2@3",
+           "sharded:sharded:gamma",
+           "a:b(c)",
+           "gamma@2",
        }) {
     SCOPED_TRACE(bad);
     EXPECT_THROW(EngineSpec::Parse(bad), EngineSpecError);
@@ -204,52 +191,6 @@ TEST(EngineSpecTest, InlineOptionsConfigureTheEngine) {
   EXPECT_GT(via_spec.truncated_queries, 0u);
   EXPECT_EQ(via_spec.truncated_queries, via_options.truncated_queries);
   EXPECT_EQ(via_spec.total_matches, via_options.total_matches);
-}
-
-void ExpectBitIdenticalReports(const BatchReport& a, const BatchReport& b) {
-  ASSERT_EQ(a.queries.size(), b.queries.size());
-  for (size_t i = 0; i < a.queries.size(); ++i) {
-    SCOPED_TRACE("query " + std::to_string(i));
-    const QueryReport& qa = a.queries[i];
-    const QueryReport& qb = b.queries[i];
-    EXPECT_EQ(qa.id, qb.id);
-    EXPECT_EQ(qa.positive_matches, qb.positive_matches);
-    EXPECT_EQ(qa.negative_matches, qb.negative_matches);
-    EXPECT_EQ(qa.num_positive, qb.num_positive);
-    EXPECT_EQ(qa.num_negative, qb.num_negative);
-    EXPECT_EQ(qa.timed_out, qb.timed_out);
-    EXPECT_EQ(qa.overflowed, qb.overflowed);
-    EXPECT_EQ(qa.update_stats.makespan_ticks, qb.update_stats.makespan_ticks);
-    EXPECT_EQ(qa.match_stats.makespan_ticks, qb.match_stats.makespan_ticks);
-    EXPECT_EQ(qa.match_stats.total_busy_ticks,
-              qb.match_stats.total_busy_ticks);
-  }
-  EXPECT_EQ(a.update_stats.makespan_ticks, b.update_stats.makespan_ticks);
-  EXPECT_EQ(a.match_stats.makespan_ticks, b.match_stats.makespan_ticks);
-  EXPECT_EQ(a.match_stats.tasks_executed, b.match_stats.tasks_executed);
-}
-
-// The legacy sugar is sugar only: "sharded:gamma@2" and
-// "sharded(gamma, shards=2)" digest the same seeded scenario stream
-// into bit-identical reports, batch by batch.
-TEST(EngineSpecTest, LegacySugarBuildsBitIdenticalEngine) {
-  workload::ScenarioRunner runner(*workload::FindScenario("smoke"), 2024);
-  auto legacy = MakeEngine("sharded:gamma@2", runner.graph());
-  auto canonical = MakeEngine("sharded(gamma, shards=2)", runner.graph());
-  EXPECT_STREQ(legacy->Name(), canonical->Name());
-  EXPECT_EQ(legacy->Describe().canonical_spec,
-            canonical->Describe().canonical_spec);
-  for (const QueryGraph& q : runner.queries()) {
-    legacy->AddQuery(q);
-    canonical->AddQuery(q);
-  }
-  ASSERT_FALSE(runner.stream().empty());
-  for (const UpdateBatch& batch : runner.stream()) {
-    BatchReport lr = legacy->ProcessBatch(batch);
-    BatchReport cr = canonical->ProcessBatch(batch);
-    ExpectBitIdenticalReports(lr, cr);
-    EXPECT_GT(lr.critical_path_seconds, 0.0);
-  }
 }
 
 }  // namespace

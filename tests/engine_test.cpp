@@ -2,10 +2,12 @@
 /// name, cross-engine result parity on one identical batch (GAMMA's net
 /// matches == each CSM baseline's NetEffect), streaming-sink vs
 /// materialized equivalence, dynamic AddQuery/RemoveQuery, the device
-/// engine's two charging rules, and the unified truncation reporting.
+/// engine's two charging rules, the one-latency-per-batch contract,
+/// and the unified truncation reporting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "baselines/enumerate.hpp"
@@ -13,6 +15,7 @@
 #include "core/match_store.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/update_stream.hpp"
+#include "persist/checkpoint.hpp"
 
 namespace bdsm {
 namespace {
@@ -338,6 +341,65 @@ TEST(EngineChargingTest, GammaPerQueryMultiFused) {
     }
   }
   EXPECT_GT(matches, 0u);  // the stream must exercise matching
+}
+
+// One latency per batch: ProcessBatch fills BatchReport::latency_seconds
+// on the engine's declared clock, bit-equal to the clock's definition,
+// through every wrapper layer; a Checkpointer's running total is
+// exactly the sum of those values.
+TEST(EngineLatencyTest, LatencyFollowsTheDeclaredClock) {
+  LabeledGraph g = GenerateUniformGraph(150, 500, 3, 1, 95);
+  const std::pair<const char*, ClockDomain> kCases[] = {
+      {"gamma", ClockDomain::kModeledDevice},
+      {"multi", ClockDomain::kModeledDevice},
+      {"tf", ClockDomain::kHostWall},
+      {"sharded(gamma, shards=2)", ClockDomain::kModeledDevice},
+      {"sharded(tf, shards=2)", ClockDomain::kCriticalPath},
+      {"tenant(gamma)", ClockDomain::kModeledDevice},
+      {"replicated(gamma, followers=1)", ClockDomain::kModeledDevice},
+  };
+  for (size_t i = 0; i < std::size(kCases); ++i) {
+    const auto& [spec, clock] = kCases[i];
+    SCOPED_TRACE(spec);
+    auto engine = MakeEngine(spec, g);
+    const EngineInfo info = engine->Describe();
+    ASSERT_EQ(info.clock, clock);
+    engine->AddQuery(TriangleQuery());
+    engine->AddQuery(PathQuery());
+
+    // A replica group tees its own WAL; everything else gets one here.
+    std::unique_ptr<persist::Checkpointer> cp;
+    if (engine->replication_control() == nullptr) {
+      cp = std::make_unique<persist::Checkpointer>(
+          ::testing::TempDir() + "/latency_contract_" + std::to_string(i));
+      cp->Begin(*engine, /*seed=*/0, /*scenario=*/"");
+    }
+    UpdateStreamGenerator gen(96);
+    double sum = 0.0;
+    for (int round = 0; round < 3; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      UpdateBatch batch = gen.MakeMixed(engine->host_graph(), 40, 2, 1, 0);
+      BatchReport r = engine->ProcessBatch(batch);
+      double want = r.host_wall_seconds;
+      if (clock == ClockDomain::kModeledDevice) {
+        want = std::max(static_cast<double>(r.update_stats.makespan_ticks +
+                                            r.match_stats.makespan_ticks) *
+                            info.tick_seconds,
+                        r.preprocess_host_seconds);
+        EXPECT_GT(r.update_stats.makespan_ticks, 0u);
+      } else if (clock == ClockDomain::kCriticalPath) {
+        want = r.critical_path_seconds;
+        EXPECT_GT(want, 0.0);
+      }
+      EXPECT_EQ(r.latency_seconds, want);
+      sum += r.latency_seconds;
+      if (cp) cp->OnBatchApplied(*engine, batch, r);
+    }
+    if (cp) {
+      cp->Finish();
+      EXPECT_EQ(cp->totals().latency_seconds, sum);
+    }
+  }
 }
 
 // Queries registered/removed mid-stream: a query added after batch 1

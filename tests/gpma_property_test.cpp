@@ -106,7 +106,9 @@ class GpmaPropertyTest
         ASSERT_LT(at, entries.size());
         ASSERT_EQ(min, entries[at].first) << "segment " << seg;
         // Mins of non-empty segments are strictly increasing.
-        if (seen_nonempty) ASSERT_GT(min, prev_min) << "segment " << seg;
+        if (seen_nonempty) {
+          ASSERT_GT(min, prev_min) << "segment " << seg;
+        }
         prev_min = min;
         seen_nonempty = true;
         at += count;

@@ -18,7 +18,6 @@
 #include "persist/checkpoint.hpp"
 #include "persist/crc32.hpp"
 #include "persist/restart.hpp"
-#include "serve/sharded_engine.hpp"
 #include "workload/scenario_runner.hpp"
 
 namespace bdsm::persist {
@@ -538,35 +537,6 @@ TEST(RestartScenarioTest, KillPointBeyondStreamClamps) {
       "gamma", 999, TempDir("ckpt_drill_clamp"));
   EXPECT_TRUE(outcome.identical) << outcome.detail;
   EXPECT_TRUE(outcome.tail.batches.empty());
-}
-
-TEST(ShardedTeeTest, AttachCheckpointerTeesFromTheBatchBarrier) {
-  // The serving-layer integration: the engine itself tees every batch
-  // (here via direct ProcessBatch; SubmitBatch funnels into the same
-  // phase barrier), so drivers that only see an Engine* still get
-  // durability.
-  const workload::ScenarioRunner& r = SmokeRunner();
-  std::string dir = TempDir("ckpt_sharded_tee");
-  auto engine = std::make_unique<serve::ShardedEngine>(
-      "gamma", 2, r.graph(), EngineOptions{});
-  for (const QueryGraph& q : r.queries()) engine->AddQuery(q);
-
-  Checkpointer cp(dir, CheckpointPolicy{.every_batches = 2,
-                                        .every_updates = 0,
-                                        .prune = true});
-  cp.Begin(*engine, r.seed(), "smoke");
-  engine->AttachCheckpointer(&cp);
-  for (const UpdateBatch& batch : r.stream()) {
-    engine->ProcessBatch(batch);
-  }
-  engine->AttachCheckpointer(nullptr);
-  cp.Finish();
-  EXPECT_EQ(cp.next_batch(), r.stream().size());
-
-  RestoredEngine restored = RestoreEngine(dir);
-  EXPECT_EQ(restored.next_batch, r.stream().size());
-  EXPECT_EQ(restored.engine->host_graph(), engine->host_graph());
-  EXPECT_EQ(restored.engine->QueryIds(), engine->QueryIds());
 }
 
 }  // namespace

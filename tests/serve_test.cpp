@@ -640,18 +640,16 @@ TEST(ShardedEngineTest, TwoProducersBothProgressThroughTenantLayer) {
   EXPECT_EQ(tc->PendingOps(), 0u);
 }
 
-TEST(ShardedSpecTest, CanonicalAndLegacySpecsResolve) {
+TEST(ShardedSpecTest, CanonicalSpecsResolve) {
   EngineRegistry& reg = EngineRegistry::Instance();
-  // Canonical grammar and the legacy sugar both validate.
   EXPECT_TRUE(reg.Has("sharded(gamma, shards=2)"));
   EXPECT_TRUE(reg.Has("sharded(turboflux)"));  // inner aliases resolve
-  EXPECT_TRUE(reg.Has("sharded:gamma@2"));
-  EXPECT_TRUE(reg.Has("sharded:turboflux"));
-  EXPECT_TRUE(reg.Has("SHARDED:Gamma@2"));  // case-insensitive
-  EXPECT_FALSE(reg.Has("sharded:no-such-engine@2"));
-  EXPECT_FALSE(reg.Has("sharded:gamma@0"));
+  EXPECT_TRUE(reg.Has("SHARDED(Gamma, shards=2)"));  // case-insensitive
+  EXPECT_FALSE(reg.Has("sharded(no-such-engine, shards=2)"));
   EXPECT_FALSE(reg.Has("sharded(gamma, shards=0)"));
-  EXPECT_FALSE(reg.Has("nosuchprefix:gamma@2"));
+  // The removed legacy "prefix:inner@N" sugar no longer validates.
+  EXPECT_FALSE(reg.Has("sharded:gamma@2"));
+  EXPECT_FALSE(reg.Has("sharded:turboflux"));
   EXPECT_FALSE(reg.Has("sharded"));  // a wrapper needs an inner spec
   // Wrappers nest recursively in the canonical grammar.
   EXPECT_TRUE(reg.Has("sharded(sharded(rf, shards=2), shards=2)"));
@@ -662,7 +660,7 @@ TEST(ShardedSpecTest, CanonicalAndLegacySpecsResolve) {
   }
 
   LabeledGraph g = GenerateUniformGraph(60, 150, 2, 1, 131);
-  auto engine = MakeEngine("SHARDED:Gamma@2", g);
+  auto engine = MakeEngine("SHARDED(Gamma, shards=2)", g);
   EXPECT_STREQ(engine->Name(), "sharded(gamma, shards=2)");
   EngineInfo info = engine->Describe();
   EXPECT_EQ(info.clock, ClockDomain::kModeledDevice);
@@ -673,7 +671,7 @@ TEST(ShardedSpecTest, CanonicalAndLegacySpecsResolve) {
   ASSERT_NE(sharded, nullptr);
   EXPECT_EQ(sharded->NumShards(), 2u);
 
-  auto defaulted = MakeEngine("sharded:gf", g);
+  auto defaulted = MakeEngine("sharded(gf)", g);
   EXPECT_STREQ(defaulted->Name(),
                ("sharded(gf, shards=" +
                 std::to_string(ShardedEngine::kDefaultShards) + ")")
