@@ -422,14 +422,35 @@ class DeviceEngine final : public LeafEngine<DeviceSlot> {
     };
 
     if (!fused_) {
-      // Separate launches run back to back on the one device.
+      // Separate launches, modeled back to back on the one device and
+      // simulated together on its host pool.  Charging runs after the
+      // barrier in query order, so reports match sequential launches.
+      struct QueryLaunch {
+        std::atomic<size_t> emitted{0};
+        std::atomic<bool> overflowed{false};
+        std::vector<std::vector<MatchRecord>> slots;
+      };
+      std::vector<QueryLaunch> launches(slots_.size());
+      std::vector<Device::TaskList> lists;
+      lists.reserve(slots_.size());
       for (size_t i = 0; i < slots_.size(); ++i) {
-        WbmResult r = RunWbmKernel(device_, envs[i], seeds);
-        auto& dst = Matches(&report->queries[i], positive);
-        dst.insert(dst.end(), std::make_move_iterator(r.matches.begin()),
-                   std::make_move_iterator(r.matches.end()));
-        charge(i, r.stats, r.overflowed);
-        report->match_stats.MergeSequential(r.stats);
+        if (envs[i].result_cap > 0) {  // per-launch cap
+          envs[i].emitted = &launches[i].emitted;
+          envs[i].overflowed = &launches[i].overflowed;
+        }
+        lists.push_back(MakeWbmTasks(envs[i], seeds, &launches[i].slots));
+      }
+      // Each query's slots are gathered, and freed, as soon as its own
+      // launch finishes; only query i's report is touched.
+      const std::vector<DeviceStats> stats =
+          device_.LaunchEach(std::move(lists), [&](size_t i) {
+            AppendSlots(&launches[i].slots,
+                        &Matches(&report->queries[i], positive));
+          });
+      for (size_t i = 0; i < slots_.size(); ++i) {
+        charge(i, stats[i],
+               launches[i].overflowed.load(std::memory_order_relaxed));
+        report->match_stats.MergeSequential(stats[i]);
       }
       return;
     }
@@ -451,8 +472,7 @@ class DeviceEngine final : public LeafEngine<DeviceSlot> {
     const DeviceStats stats = device_.Launch(std::move(tasks));
     const bool over = overflowed.load(std::memory_order_relaxed);
     for (size_t i = 0; i < slots_.size(); ++i) {
-      auto& dst = Matches(&report->queries[i], positive);
-      for (auto& s : out[i]) dst.insert(dst.end(), s.begin(), s.end());
+      AppendSlots(&out[i], &Matches(&report->queries[i], positive));
       // Every query's record describes the same shared kernel.
       charge(i, stats, over);
     }
@@ -467,7 +487,10 @@ class DeviceEngine final : public LeafEngine<DeviceSlot> {
         SimulateGpmaUpdate(device_, plan, options_.gpma);
     Timer host;
     ApplyBatch(&graph_, batch);
-    for (DeviceSlot& s : slots_) s.encoder->ApplyBatchDirty(graph_, batch);
+    // Each encoder reads graph_ and writes only its own rows.
+    device_.HostParallelFor(slots_.size(), [&](size_t i) {
+      slots_[i].encoder->ApplyBatchDirty(graph_, batch);
+    });
     report->preprocess_host_seconds = host.ElapsedSeconds();
     // "multi" pays the shared update once, "gamma" once per live query.
     if (fused_) report->update_stats = update;
@@ -482,6 +505,20 @@ class DeviceEngine final : public LeafEngine<DeviceSlot> {
  private:
   static std::vector<MatchRecord>& Matches(QueryReport* qr, bool positive) {
     return positive ? qr->positive_matches : qr->negative_matches;
+  }
+
+  /// Moves per-seed result slots, in seed order, onto `dst` and frees
+  /// them.
+  static void AppendSlots(std::vector<std::vector<MatchRecord>>* slots,
+                          std::vector<MatchRecord>* dst) {
+    size_t total = dst->size();
+    for (const auto& s : *slots) total += s.size();
+    dst->reserve(total);
+    for (auto& s : *slots) {
+      dst->insert(dst->end(), std::make_move_iterator(s.begin()),
+                  std::make_move_iterator(s.end()));
+    }
+    std::vector<std::vector<MatchRecord>>().swap(*slots);
   }
 
   const char* name_;

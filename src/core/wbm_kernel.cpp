@@ -18,7 +18,6 @@ class WbmTask : public WarpTask {
         plan_idx_(plan_begin),
         plan_end_(plan_end) {
     m_.fill(kInvalidVertex);
-    frames_.resize(env_->qctx->q.NumVertices());
   }
 
   bool Step(WarpContext& ctx) override {
@@ -122,6 +121,7 @@ class WbmTask : public WarpTask {
         }
         clone->floor_ = l;
         clone->cur_ = l;
+        clone->frames_.resize(plan_->order.size());
         clone->frames_[l].cands.assign(f.cands.begin() + mid,
                                        f.cands.end());
         clone->frames_[l].next = 0;
@@ -150,6 +150,7 @@ class WbmTask : public WarpTask {
         siblings_.pop_back();
         floor_ = plan_->vk_size;
         cur_ = floor_;
+        frames_.resize(plan_->order.size());
         frames_[cur_].ready = false;
         dfs_active_ = true;
         return true;
@@ -204,6 +205,7 @@ class WbmTask : public WarpTask {
     }
     floor_ = 2;
     cur_ = 2;
+    frames_.resize(nq);
     frames_[cur_].ready = false;
     return true;
   }
@@ -312,6 +314,9 @@ class WbmTask : public WarpTask {
   std::array<VertexId, kMaxQueryVertices> m_;
   uint32_t cur_ = 0;
   uint32_t floor_ = 2;
+  /// Sized when a DFS starts, not at construction: a launch's queued
+  /// tasks (every query's, for per-query launches simulated together)
+  /// then stay small until they run.
   std::vector<Frame> frames_;
   std::vector<std::array<VertexId, kMaxQueryVertices>> siblings_;
   std::vector<Neighbor> scratch_;

@@ -55,7 +55,8 @@ struct WbmEnv {
   /// bounds them by its 30-minute timeout, here the cap bounds memory
   /// the same way: once hit, tasks stop and the launch reports overflow.
   size_t result_cap = 0;
-  /// Shared counter/flag backing the cap (set by RunWbmKernel).
+  /// Counter/flag backing the cap, shared by every task of one launch
+  /// (set by RunWbmKernel or by the engine that builds the launch).
   std::atomic<size_t>* emitted = nullptr;
   std::atomic<bool>* overflowed = nullptr;
 };

@@ -15,7 +15,7 @@ constexpr uint64_t kMinStealRemaining = 2;
 BlockScheduler::BlockScheduler(const DeviceConfig& cfg, uint32_t block_id,
                                DeviceAllocator* allocator,
                                std::vector<std::unique_ptr<WarpTask>> tasks,
-                               const Timer* launch_timer)
+                               const Timer& launch_timer)
     : cfg_(cfg),
       block_id_(block_id),
       allocator_(allocator),
@@ -89,14 +89,12 @@ BlockResult BlockScheduler::Run() {
     if (!PopTask(&slot)) break;
   }
 
-  Timer local_timer;
-  const Timer* clock = launch_timer_ ? launch_timer_ : &local_timer;
   uint64_t steps_since_check = 0;
   bool timed_out = false;
   while (true) {
     if (cfg_.host_budget_seconds > 0 && ++steps_since_check >= 2048) {
       steps_since_check = 0;
-      if (clock->ElapsedSeconds() > cfg_.host_budget_seconds) {
+      if (launch_timer_.ElapsedSeconds() > cfg_.host_budget_seconds) {
         timed_out = true;
         break;  // abandon remaining work
       }

@@ -37,13 +37,13 @@ class BlockScheduler {
  public:
   /// `tasks` is this block's statically assigned queue (grid-stride
   /// assignment happens in Device).
-  /// `launch_timer` (optional) is the whole launch's shared wall clock;
-  /// with a positive cfg.host_budget_seconds, the block abandons its
-  /// remaining work once that clock passes the budget.
+  /// `launch_timer` is the whole launch's shared wall clock; with a
+  /// positive cfg.host_budget_seconds, the block abandons its remaining
+  /// work once that clock passes the budget.
   BlockScheduler(const DeviceConfig& cfg, uint32_t block_id,
                  DeviceAllocator* allocator,
                  std::vector<std::unique_ptr<WarpTask>> tasks,
-                 const class Timer* launch_timer = nullptr);
+                 const class Timer& launch_timer);
 
   /// Runs the block to completion.  Deterministic for a given task list.
   BlockResult Run();
@@ -68,7 +68,7 @@ class BlockScheduler {
   const DeviceConfig& cfg_;
   uint32_t block_id_;
   DeviceAllocator* allocator_;
-  const class Timer* launch_timer_;
+  const class Timer& launch_timer_;
   SharedMemory shared_;
   std::deque<std::unique_ptr<WarpTask>> queue_;
   std::vector<WarpSlot> warps_;

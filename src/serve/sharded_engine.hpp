@@ -75,7 +75,7 @@
 
 #include "core/engine.hpp"
 #include "serve/result_fanin.hpp"
-#include "serve/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bdsm::serve {
 

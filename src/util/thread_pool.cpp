@@ -1,10 +1,10 @@
-#include "serve/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 #include <exception>
 
 #include "util/common.hpp"
 
-namespace bdsm::serve {
+namespace bdsm {
 
 ThreadPool::ThreadPool(size_t num_threads) {
   GAMMA_CHECK_MSG(num_threads > 0, "thread pool needs at least one worker");
@@ -76,4 +76,4 @@ void ThreadPool::ParallelFor(size_t n,
   if (barrier.first_error) std::rethrow_exception(barrier.first_error);
 }
 
-}  // namespace bdsm::serve
+}  // namespace bdsm

@@ -1,17 +1,18 @@
 /// \file thread_pool.hpp
-/// Persistent worker pool of the serving layer (src/serve/).
+/// Persistent host worker pool.
 ///
-/// ShardedEngine fans each processing phase out across its shards on a
-/// pool that lives for the engine's lifetime, so per-batch cost is the
-/// work itself, not thread creation.  The pool is deliberately minimal:
-/// FIFO task queue, `Post` for fire-and-forget work, and a blocking
-/// `ParallelFor` barrier used by the phase fan-out.
+/// Two owners keep one alive for their lifetime, so per-call cost is the
+/// work itself, not thread creation: ShardedEngine (src/serve/) fans each
+/// processing phase out across its shards, and Device (src/gpusim/)
+/// simulates blocks of its launches on it.  The pool is deliberately
+/// minimal: FIFO task queue, `Post` for fire-and-forget work, and a
+/// blocking `ParallelFor` barrier.
 ///
-/// Determinism: the pool makes no ordering promises between tasks; all
-/// serving-layer determinism comes from merging results in a fixed
-/// (shard-index) order *after* the ParallelFor barrier, never from
-/// scheduling.  ShardedEngine output is therefore identical for any
-/// pool size (tested in serve_test.cpp).
+/// Determinism: the pool makes no ordering promises between tasks; its
+/// users get determinism by merging results in a fixed order *after*
+/// the ParallelFor barrier, never from scheduling.  ShardedEngine and
+/// Device output is therefore identical for any pool size (tested in
+/// serve_test.cpp and gpusim_test.cpp).
 #pragma once
 
 #include <condition_variable>
@@ -22,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-namespace bdsm::serve {
+namespace bdsm {
 
 /// Fixed-size pool of worker threads consuming a FIFO task queue.
 /// Thread-safe: Post/ParallelFor may be called from any thread,
@@ -60,4 +61,4 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-}  // namespace bdsm::serve
+}  // namespace bdsm

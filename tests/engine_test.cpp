@@ -343,6 +343,96 @@ TEST(EngineChargingTest, GammaPerQueryMultiFused) {
   EXPECT_GT(matches, 0u);  // the stream must exercise matching
 }
 
+// "gamma" simulates its per-query launches concurrently, each with its
+// own result cap: with the cap hit by some queries and not others, every
+// query still reports exactly what a one-query engine reports.  One SM
+// gives each launch a single block, so even a truncated launch is
+// deterministic and its match list comparable in order.
+TEST(EngineChargingTest, GammaPerQueryCapsMatchOneQueryEngines) {
+  LabeledGraph g = GenerateUniformGraph(150, 500, 3, 1, 91);
+  auto make = [](std::vector<Label> labels,
+                 std::vector<std::pair<VertexId, VertexId>> edges) {
+    QueryGraph q(std::move(labels));
+    for (const auto& [a, b] : edges) q.AddEdge(a, b);
+    return q;
+  };
+  const std::vector<QueryGraph> queries = {
+      TriangleQuery(),
+      PathQuery(),
+      make({1, 0, 0, 2}, {{0, 1}, {0, 2}, {0, 3}}),
+      make({1, 1, 1}, {{0, 1}, {1, 2}}),
+      make({2, 0, 2}, {{0, 1}, {1, 2}}),
+      make({0, 1, 2, 0}, {{0, 1}, {1, 2}, {2, 3}}),
+      make({2, 2, 2}, {{0, 1}, {1, 2}, {0, 2}}),
+      make({0, 1, 2, 1}, {{0, 1}, {0, 2}, {0, 3}}),
+      make({0, 0, 0}, {{0, 1}, {1, 2}}),
+  };
+  EngineOptions options;
+  options.gamma.device.num_sms = 1;
+  options.gamma.result_cap = 40;
+
+  auto gamma = MakeEngine("gamma", g, options);
+  std::vector<std::unique_ptr<Engine>> singles;
+  for (const QueryGraph& q : queries) {
+    gamma->AddQuery(q);
+    singles.push_back(MakeEngine("gamma", g, options));
+    singles.back()->AddQuery(q);
+  }
+
+  UpdateStreamGenerator gen(92);
+  size_t overflowed = 0, within_cap = 0;
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    UpdateBatch batch = gen.MakeMixed(gamma->host_graph(), 40, 2, 1, 0);
+    BatchReport per_query = gamma->ProcessBatch(batch);
+    ASSERT_EQ(per_query.queries.size(), queries.size());
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE("query " + std::to_string(qi));
+      const QueryReport alone = singles[qi]->ProcessBatch(batch).queries[0];
+      const QueryReport& got = per_query.queries[qi];
+      EXPECT_EQ(got.overflowed, alone.overflowed);
+      EXPECT_EQ(got.timed_out, alone.timed_out);
+      EXPECT_EQ(got.update_stats, alone.update_stats);
+      EXPECT_EQ(got.match_stats, alone.match_stats);
+      EXPECT_EQ(got.positive_matches, alone.positive_matches);
+      EXPECT_EQ(got.negative_matches, alone.negative_matches);
+      ++(got.overflowed ? overflowed : within_cap);
+    }
+  }
+  // The cap must split the queries, or the test proves nothing.
+  EXPECT_GT(overflowed, 0u);
+  EXPECT_GT(within_cap, 0u);
+}
+
+// Each per-query launch keeps its own budget clock: a tiny budget over
+// an exploding batch times every query out.
+TEST(EngineChargingTest, GammaPerQueryBudgetTimesOut) {
+  std::vector<Label> labels(40, 0);
+  LabeledGraph g(labels);
+  UpdateBatch batch;
+  for (VertexId a = 0; a < 40; ++a) {
+    for (VertexId b = a + 1; b < 40; ++b) {
+      batch.push_back(UpdateOp{true, a, b, kNoLabel});
+    }
+  }
+  QueryGraph clique({0, 0, 0, 0, 0});
+  for (VertexId a = 0; a < 5; ++a) {
+    for (VertexId b = a + 1; b < 5; ++b) clique.AddEdge(a, b);
+  }
+  EngineOptions options;
+  options.gamma.result_cap = 0;  // unlimited: only the budget can stop it
+  options.gamma.device.num_sms = 4;
+  options.gamma.device.host_budget_seconds = 0.01;
+  auto gamma = MakeEngine("gamma", g, options);
+  for (int i = 0; i < 3; ++i) gamma->AddQuery(clique);
+
+  const BatchReport report = gamma->ProcessBatch(batch);
+  EXPECT_TRUE(report.match_stats.timed_out);
+  for (const QueryReport& qr : report.queries) {
+    EXPECT_TRUE(qr.timed_out) << "query " << qr.id;
+  }
+}
+
 // One latency per batch: ProcessBatch fills BatchReport::latency_seconds
 // on the engine's declared clock, bit-equal to the clock's definition,
 // through every wrapper layer; a Checkpointer's running total is

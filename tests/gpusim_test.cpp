@@ -3,8 +3,10 @@
 /// (active + passive) semantics and utilization effects.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include "gpusim/coop_groups.hpp"
 #include "gpusim/device.hpp"
@@ -127,8 +129,8 @@ TEST(DeviceTest, AllWorkExecutes) {
 }
 
 TEST(DeviceTest, DeterministicAcrossRuns) {
-  auto run = [] {
-    Device dev(SmallConfig(StealPolicy::kActive));
+  auto run = [](uint32_t host_threads) {
+    Device dev(SmallConfig(StealPolicy::kActive), host_threads);
     std::atomic<uint64_t> done{0};
     std::vector<std::unique_ptr<WarpTask>> tasks;
     for (int i = 0; i < 17; ++i) {
@@ -137,12 +139,87 @@ TEST(DeviceTest, DeterministicAcrossRuns) {
     }
     return dev.Launch(std::move(tasks));
   };
-  DeviceStats a = run();
-  DeviceStats b = run();
-  EXPECT_EQ(a.makespan_ticks, b.makespan_ticks);
-  EXPECT_EQ(a.total_busy_ticks, b.total_busy_ticks);
-  EXPECT_EQ(a.steal_events, b.steal_events);
-  EXPECT_EQ(a.global_transactions, b.global_transactions);
+  const DeviceStats reference = run(1);
+  EXPECT_EQ(run(1), reference);
+  for (uint32_t host_threads : {2u, 4u}) {
+    SCOPED_TRACE("host_threads " + std::to_string(host_threads));
+    EXPECT_EQ(run(host_threads), reference);
+  }
+}
+
+// LaunchEach simulates several launches as one host job list; each
+// launch's stats must still be exactly those of the same launch run
+// alone on one host thread, for every steal policy and host thread
+// count.  An empty list
+// yields zero stats, and on_done fires once per launch, after all of
+// that launch's work.
+TEST(DeviceTest, LaunchEachEqualsSequentialLaunches) {
+  constexpr size_t kLaunches = 4;
+  std::atomic<uint64_t> done[kLaunches + 1] = {};
+  auto make_lists = [&done] {
+    std::vector<Device::TaskList> lists(kLaunches + 1);
+    for (size_t k = 0; k < kLaunches; ++k) {
+      if (k == 2) continue;  // lists[2] stays empty
+      // Skewed: one heavy task per list, many light ones.
+      lists[k].push_back(
+          std::make_unique<BurnTask>(300 * (k + 1), 4, &done[k]));
+      for (size_t i = 0; i < 9 + 5 * k; ++i) {
+        lists[k].push_back(std::make_unique<BurnTask>(
+            3 + (i * 7 + k) % 11, 2 + k % 3, &done[k]));
+      }
+    }
+    // A fifth, heavy list so later jobs overlap earlier tails.
+    for (size_t i = 0; i < 40; ++i) {
+      lists[kLaunches].push_back(
+          std::make_unique<BurnTask>(50 + i % 13, 3, &done[kLaunches]));
+    }
+    return lists;
+  };
+  std::vector<uint64_t> expected_units;
+  for (const Device::TaskList& list : make_lists()) {
+    uint64_t units = 0;
+    for (const auto& t : list) units += t->EstimateRemaining();
+    expected_units.push_back(units);
+  }
+
+  for (StealPolicy policy :
+       {StealPolicy::kNone, StealPolicy::kPassive, StealPolicy::kActive}) {
+    DeviceConfig cfg = SmallConfig(policy);
+    cfg.num_sms = 3;
+    std::vector<DeviceStats> sequential;
+    {
+      Device dev(cfg, /*host_threads=*/1);
+      for (Device::TaskList& list : make_lists()) {
+        sequential.push_back(dev.Launch(std::move(list)));
+      }
+    }
+    for (auto& d : done) d = 0;
+
+    for (uint32_t host_threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)) +
+                   " host_threads " + std::to_string(host_threads));
+      std::atomic<uint32_t> calls[kLaunches + 1] = {};
+      std::atomic<bool> complete_at_done[kLaunches + 1] = {};
+      Device dev(cfg, host_threads);
+      const std::vector<DeviceStats> each =
+          dev.LaunchEach(make_lists(), [&](size_t i) {
+            calls[i].fetch_add(1);
+            complete_at_done[i] = done[i].load() == expected_units[i];
+          });
+      ASSERT_EQ(each.size(), sequential.size());
+      for (size_t i = 0; i < each.size(); ++i) {
+        SCOPED_TRACE("launch " + std::to_string(i));
+        EXPECT_EQ(each[i], sequential[i]);
+        EXPECT_EQ(calls[i].load(), 1u);
+        EXPECT_TRUE(complete_at_done[i].load());
+      }
+      EXPECT_EQ(each[2], DeviceStats{});
+      if (policy != StealPolicy::kNone) {
+        EXPECT_GT(each[0].steal_events, 0u);  // the skew is exercised
+      }
+      for (auto& d : done) d = 0;
+    }
+  }
 }
 
 TEST(DeviceTest, ActiveStealingBalancesSkew) {
