@@ -5,15 +5,15 @@
 ///
 /// Sharding fans each batch's phases across N inner engines on a
 /// thread pool, so different query partitions genuinely run on
-/// different cores.  Batches are fed through the async front door
-/// (SubmitBatch) the way a serving deployment would.  Two throughputs
-/// are reported, following the repo's convention of separating what
-/// this host measures from what the design delivers:
+/// different cores.  Batches are fed one ProcessBatch call at a time.
+/// Two throughputs are reported, following the repo's convention of
+/// separating what this host measures from what the design delivers:
 ///  * measured wall  — end-to-end batches/s on THIS host.  Scales with
 ///    shards only up to the core count (a 1-core CI container shows
 ///    ~flat wall regardless of sharding).
-///  * critical path  — batches/s from ShardedEngine's critical-path
-///    accounting (per phase, the slowest shard's thread-CPU seconds):
+///  * critical path  — batches/s over the summed per-batch
+///    BatchReport::critical_path_seconds (per phase, the slowest
+///    shard's thread-CPU seconds):
 ///    the wall-clock a host with >= N free cores achieves.  This is
 ///    the serving analogue of "modeled device seconds" and the
 ///    monotone-scaling shape to check.
@@ -25,11 +25,9 @@
 /// Emits the perf trajectory to BENCH_serving.json by default
 /// (override with --json <path>; schema in docs/BENCHMARKS.md).
 #include <cstdio>
-#include <future>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "serve/sharded_engine.hpp"
 #include "util/timer.hpp"
 
 using namespace bdsm;
@@ -81,8 +79,8 @@ struct ServingResult {
   size_t total_matches = 0;
 };
 
-/// Feeds the whole stream through SubmitBatch and waits for every
-/// future; engine construction and query registration are offline
+/// Feeds the whole stream through ProcessBatch, one batch after
+/// another; engine construction and query registration are offline
 /// (not timed), matching how the figure benches treat index builds.
 ServingResult RunServingCell(const EngineSpec& spec, const Workload& w,
                              const EngineOptions& opts,
@@ -91,23 +89,14 @@ ServingResult RunServingCell(const EngineSpec& spec, const Workload& w,
   for (const QueryGraph& q : w.queries) engine->AddQuery(q);
   *info_out = engine->Describe();
 
-  // The registry hands back the Engine interface; the async front door
-  // (SubmitBatch) is a serving-layer extension beyond it, so this
-  // bench — which exists to exercise exactly that door — downcasts to
-  // the concrete serving type it just asked the registry to build.
-  auto* sharded = dynamic_cast<serve::ShardedEngine*>(engine.get());
-
   ServingResult r;
   Timer wall;
-  std::vector<std::future<BatchReport>> futures;
   for (const UpdateBatch& b : w.stream) {
-    futures.push_back(sharded->SubmitBatch(b));
-  }
-  for (auto& f : futures) {
-    r.total_matches += f.get().TotalMatches();
+    const BatchReport report = engine->ProcessBatch(b);
+    r.total_matches += report.TotalMatches();
+    r.critical_path_s += report.critical_path_seconds;
   }
   r.wall_s = wall.ElapsedSeconds();
-  r.critical_path_s = sharded->CriticalPathSeconds();
   double n = double(w.stream.size());
   r.batches_per_s_wall = r.wall_s > 0 ? n / r.wall_s : 0.0;
   r.batches_per_s =
@@ -122,7 +111,7 @@ int main(int argc, char** argv) {
   Scale scale;
   PrintHeader("Serving throughput (extension)",
               "Sharded concurrent serving: wall-clock batches/s vs shard "
-              "count, async SubmitBatch front door",
+              "count, one ProcessBatch per batch",
               scale);
 
   const size_t kQueries = 12, kBatches = 8, kOps = 300;
@@ -136,7 +125,6 @@ int main(int argc, char** argv) {
   EngineOptions opts;
   opts.gamma.device.host_budget_seconds = scale.query_budget_s;
   opts.csm_budget_seconds = scale.query_budget_s;
-  opts.serve_queue_capacity = kBatches;
 
   for (const char* inner : {"gamma", "rf"}) {
     printf("--- inner engine \"%s\" ---\n", inner);

@@ -11,11 +11,18 @@
 #include "gpma/gpma.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "replica/group.hpp"
-#include "serve/sharded_engine.hpp"
 #include "util/timer.hpp"
 
 namespace bdsm {
+
+// Registration hooks of the wrapper layers (serve/sharded_engine.hpp,
+// replica/group.hpp), called by the EngineRegistry constructor.
+namespace serve {
+void RegisterServeEngines(EngineRegistry* registry);
+}
+namespace replica {
+void RegisterReplicaEngines(EngineRegistry* registry);
+}
 
 const char* ClockDomainName(ClockDomain clock) {
   switch (clock) {
@@ -276,6 +283,69 @@ void Engine::DeliverDirect(const BatchOptions& options, QueryReport* qr,
     // Already counted and streamed: advance the flush marker past it.
     (m.positive ? qr->streamed_positive : qr->streamed_negative) = v.size();
   }
+}
+
+// --------------------------------------------------------- WrapperEngine
+
+const char* WrapperEngine::Name() const { return canonical_spec_.c_str(); }
+
+EngineInfo WrapperEngine::Describe() const {
+  EngineInfo info = inner().Describe();
+  info.inner_spec = std::move(info.canonical_spec);
+  info.canonical_spec = CanonicalSpecOrName();
+  info.supports_tenancy = tenant_control() != nullptr;
+  info.supports_replication = replication_control() != nullptr;
+  return info;
+}
+
+std::vector<QueryId> WrapperEngine::QueryIds() const {
+  return inner().QueryIds();
+}
+
+std::vector<RegisteredQuery> WrapperEngine::RegisteredQueries() const {
+  return inner().RegisteredQueries();
+}
+
+const LabeledGraph& WrapperEngine::host_graph() const {
+  return inner().host_graph();
+}
+
+void WrapperEngine::RunMatchPhase(const UpdateBatch& batch, bool positive,
+                                  const BatchOptions& options,
+                                  BatchReport* report) {
+  inner().RunMatchPhase(batch, positive, options, report);
+}
+
+void WrapperEngine::RunUpdatePhase(const UpdateBatch& batch,
+                                   const BatchOptions& options,
+                                   BatchReport* report) {
+  inner().RunUpdatePhase(batch, options, report);
+}
+
+Engine& WrapperEngine::AddInner(const EngineSpec& spec, const LabeledGraph& g,
+                                const EngineOptions& options) {
+  inners_.push_back(EngineRegistry::Instance().MakeInner(spec, g, options));
+  return *inners_.back();
+}
+
+void WrapperEngine::ReplaceInner(std::unique_ptr<Engine> engine) {
+  GAMMA_CHECK(!inners_.empty() && engine != nullptr);
+  inners_.front() = std::move(engine);
+}
+
+void WrapperEngine::StampWrapperSpec(
+    const std::string& name,
+    std::vector<std::pair<std::string, std::string>> keys) {
+  // Composed from the *built* inner engine (aliases resolved by the
+  // registry), so Name() and Describe().canonical_spec fully identify
+  // the configuration — the provenance key bench JSON rows are diffed
+  // by.
+  EngineSpec self;
+  self.name = name;
+  self.children.push_back(
+      EngineSpec::Parse(inner().Describe().canonical_spec));
+  self.options = std::move(keys);
+  canonical_spec_ = self.ToString();
 }
 
 namespace {
@@ -845,16 +915,17 @@ std::string ArityText(size_t min_children, size_t max_children) {
 std::optional<std::string> EngineRegistry::Validate(
     const EngineSpec& spec) const {
   try {
-    return ValidateCanonical(Canonicalize(spec));
+    return ValidateCanonical(Canonicalize(spec), /*nested=*/false);
   } catch (const EngineSpecError& e) {
     return std::string(e.what());
   }
 }
 
 std::optional<std::string> EngineRegistry::ValidateCanonical(
-    const EngineSpec& canonical) const {
+    const EngineSpec& canonical, bool nested) const {
   try {
-    // Walk the canonical tree: arity and option checks at every node.
+    // Walk the canonical tree: arity, option and root-only checks at
+    // every node.
     std::vector<const EngineSpec*> todo = {&canonical};
     while (!todo.empty()) {
       const EngineSpec* node = todo.back();
@@ -863,6 +934,13 @@ std::optional<std::string> EngineRegistry::ValidateCanonical(
       const Entry* entry = Resolve(node->name, &name);
       GAMMA_CHECK(entry != nullptr);  // Canonicalize resolved every name
       const EngineDef& def = entry->def;
+      if (def.root_only && (nested || node != &canonical)) {
+        throw EngineSpecError(
+            "engine \"" + node->name +
+            "\" must be the root of the spec: its end-of-batch hook runs "
+            "only on the outermost engine, so nested it would do nothing; "
+            "move it outward in \"" + canonical.ToString() + "\"");
+      }
       if (node->children.size() < def.min_children ||
           node->children.size() > def.max_children) {
         throw EngineSpecError(
@@ -923,11 +1001,24 @@ std::vector<EngineRegistry::Listing> EngineRegistry::Listings() const {
 std::unique_ptr<Engine> EngineRegistry::Make(
     const EngineSpec& spec, const LabeledGraph& g,
     const EngineOptions& options) const {
+  return Build(spec, g, options, /*nested=*/false);
+}
+
+std::unique_ptr<Engine> EngineRegistry::MakeInner(
+    const EngineSpec& spec, const LabeledGraph& g,
+    const EngineOptions& options) const {
+  return Build(spec, g, options, /*nested=*/true);
+}
+
+std::unique_ptr<Engine> EngineRegistry::Build(const EngineSpec& spec,
+                                              const LabeledGraph& g,
+                                              const EngineOptions& options,
+                                              bool nested) const {
   EngineSpec canonical = Canonicalize(spec);
   // Fail fast over the whole tree before any engine is built: a bad
   // inner spec must not surface after the outer wrapper spun up
   // threads or replicated graphs.
-  if (std::optional<std::string> err = ValidateCanonical(canonical)) {
+  if (std::optional<std::string> err = ValidateCanonical(canonical, nested)) {
     throw EngineSpecError(*err);
   }
   std::string name;

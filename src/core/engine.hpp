@@ -50,15 +50,6 @@
 
 namespace bdsm {
 
-namespace serve {
-class ShardedEngine;
-class TenantFrontDoor;
-}
-
-namespace replica {
-class ReplicatedEngine;
-}
-
 /// Stable handle of a registered query.  Ids are engine-scoped,
 /// monotonically assigned, and never reused after RemoveQuery.
 using QueryId = uint32_t;
@@ -184,13 +175,6 @@ struct BatchReport {
   /// kHostWall.  Filled once by Engine::ProcessBatch, the one place
   /// that maps a clock to seconds; every consumer reads it from here.
   double latency_seconds = 0.0;
-  /// Ingest-path observability (serve layer): how long this batch sat
-  /// in the ingest queue before processing started, and how many
-  /// batches (ShardedEngine::SubmitBatch) or ops (TenantFrontDoor)
-  /// were queued ahead of it at submit time.  0 on the direct
-  /// ProcessBatch path — there is no queue to wait in.
-  double queue_wait_seconds = 0.0;
-  size_t queue_depth = 0;
 
   QueryReport* Find(QueryId id) {
     for (QueryReport& q : queries) {
@@ -248,9 +232,6 @@ struct EngineInfo {
   std::string canonical_spec;
   /// The clock its latencies are honest under.
   ClockDomain clock = ClockDomain::kHostWall;
-  /// False for engines that reject RemoveQuery (none today; wrappers
-  /// must forward their inner engine's answer).
-  bool supports_remove_query = true;
   /// Shard topology: 1 for single-instance engines, the shard count
   /// for the sharded serving layer.
   size_t num_shards = 1;
@@ -263,15 +244,15 @@ struct EngineInfo {
   /// (RestoreQuery), so CaptureSnapshot + warm-start restore reproduce
   /// it exactly.  Wrappers forward their inner engine's answer.
   bool supports_snapshot = false;
-  /// Multi-tenant capability (core/tenant.hpp): true when
+  /// Multi-tenant capability (core/tenant.hpp): true exactly when
   /// Engine::tenant_control() returns a usable TenantControl — tenant
-  /// namespaces, admission control, SLO-aware batch formation.  Only
-  /// the tenant front door (serve/tenant_front_door.hpp) sets this.
+  /// namespaces, admission control, SLO-aware batch formation (the
+  /// tenant front door, serve/tenant_front_door.hpp).
   bool supports_tenancy = false;
-  /// Replica-group capability (core/replication.hpp): true when
-  /// Engine::replication_control() returns a usable
+  /// Replica-group capability (core/replication.hpp): true exactly
+  /// when Engine::replication_control() returns a usable
   /// ReplicationControl — a leader shipping its WAL to followers with
-  /// failover.  Only the replica group (replica/group.hpp) sets this.
+  /// failover (the replica group, replica/group.hpp).
   bool supports_replication = false;
   /// Follower replicas behind the leader (0 for unreplicated engines).
   size_t num_followers = 0;
@@ -337,8 +318,8 @@ class Engine {
   /// Tenancy capability (core/tenant.hpp): non-null exactly when
   /// Describe().supports_tenancy — drivers reach tenant registration,
   /// ingest and accounting through this interface instead of
-  /// downcasting to serve/ types.  Wrappers that merely contain a
-  /// tenant layer (none today) would forward it.
+  /// downcasting to serve/ types.  Only the outermost tenant layer
+  /// answers: a wrapper that merely contains one returns nullptr.
   virtual TenantControl* tenant_control() { return nullptr; }
   const TenantControl* tenant_control() const {
     return const_cast<Engine*>(this)->tenant_control();
@@ -362,13 +343,9 @@ class Engine {
                            const BatchOptions& options = {});
 
  protected:
-  // The serving layer drives the same phases across inner engines it
-  // owns (see serve/sharded_engine.hpp, serve/tenant_front_door.hpp),
-  // and the replica group drives them on its leader and followers
-  // (replica/group.hpp, replica/follower.hpp).
-  friend class serve::ShardedEngine;
-  friend class serve::TenantFrontDoor;
-  friend class replica::ReplicatedEngine;
+  // Wrapper engines drive the same phases on the inner engines they
+  // own; WrapperEngine hands its subclasses the access.
+  friend class WrapperEngine;
 
   /// Template-method phases over a batch already sanitized against
   /// host_graph().  ProcessBatch drives them, and wrapper engines drive
@@ -382,8 +359,8 @@ class Engine {
   /// RunMatchPhase(positive=true) — even when a phase has no seeds.
   /// The order is semantically forced (negatives need the pre-update
   /// state, positives the post-update state), and engines may rely on
-  /// the negative phase marking the start of a batch (ShardedEngine
-  /// resets its per-batch shard scratch there).
+  /// the negative phase marking the start of a batch (the sharded
+  /// serving layer resets its per-batch shard scratch there).
   virtual void RunMatchPhase(const UpdateBatch& batch, bool positive,
                              const BatchOptions& options,
                              BatchReport* report) = 0;
@@ -429,18 +406,11 @@ class Engine {
   std::string CanonicalSpecOrName() const {
     return canonical_spec_.empty() ? std::string(Name()) : canonical_spec_;
   }
-  /// Wrapper engines that compose their own canonical spec with
-  /// defaults materialized (ShardedEngine's shard count) stamp it here
-  /// during construction; the registry stamps every still-unstamped
-  /// engine after its factory returns and never overwrites.
-  void StampCanonicalSpec(std::string spec) {
-    canonical_spec_ = std::move(spec);
-  }
 
   // --- observability (src/obs/; docs/OBSERVABILITY.md) ---
   // Shared by ProcessBatch's span/counter publishing and by the
-  // serving layer's per-shard spans (ShardedEngine is a friend and
-  // tags its shard spans with the same batch sequence number).
+  // serving layer's per-shard spans, which are tagged with the same
+  // batch sequence number.
   /// Batches this engine object has processed; tags every span it
   /// emits.  Advances only while observability is runtime-enabled.
   uint64_t obs_batch_seq_ = 0;
@@ -451,6 +421,9 @@ class Engine {
 
  private:
   friend class EngineRegistry;  // stamps canonical_spec_ post-factory
+  /// Wrapper engines stamp their own composed spec during construction
+  /// (WrapperEngine::StampWrapperSpec); the registry stamps every
+  /// still-unstamped engine after its factory returns.
   std::string canonical_spec_;
 
   /// The batch's latency on this engine's clock — the value of
@@ -486,12 +459,9 @@ struct EngineOptions {
   double csm_budget_seconds = 0.0;
 
   /// --- serving layer (serve/sharded_engine.hpp) ---
-  /// Worker threads for ShardedEngine's phase fan-out (0 = one per
+  /// Worker threads for the sharded layer's phase fan-out (0 = one per
   /// shard).  Output never depends on this; only wall-clock does.
   size_t serve_threads = 0;
-  /// Capacity of the SubmitBatch ingest queue: SubmitBatch blocks (and
-  /// TrySubmitBatch refuses) once this many batches are waiting.
-  size_t serve_queue_capacity = 8;
 
   /// --- tenant front door (serve/tenant_front_door.hpp) ---
   /// Admission, SLO batch-formation and quota defaults for engines
@@ -539,6 +509,11 @@ struct EngineDef {
   std::string example;
   size_t min_children = 0;
   size_t max_children = 0;
+  /// True for an engine that must be the root of its spec tree.  The
+  /// end-of-batch hook (Engine::OnBatchDigested) runs only on the
+  /// outermost engine, so an engine whose contract lives there — the
+  /// replica group's WAL tee — would silently do nothing when nested.
+  bool root_only = false;
 };
 
 /// Spec-tree-keyed engine factory.  Built-in names (case-insensitive):
@@ -554,7 +529,7 @@ struct EngineDef {
 ///   "tenant"             multi-tenant front door over any inner spec
 ///                        (serve/tenant_front_door.hpp)
 ///   "replicated"         WAL-shipping replica group over any inner
-///                        spec (replica/group.hpp)
+///                        spec (replica/group.hpp); spec root only
 ///
 /// Specs follow the canonical grammar of core/engine_spec.hpp —
 /// `sharded(gamma, shards=8)`, `gamma(result_cap=100000)`.  Unknown names
@@ -606,6 +581,11 @@ class EngineRegistry {
   std::unique_ptr<Engine> Make(const EngineSpec& spec,
                                const LabeledGraph& g,
                                const EngineOptions& options = {}) const;
+  /// Make() for a wrapper's inner engine: `spec` sits below a wrapper,
+  /// so a root-only engine is rejected at its root too.
+  std::unique_ptr<Engine> MakeInner(const EngineSpec& spec,
+                                    const LabeledGraph& g,
+                                    const EngineOptions& options) const;
 
  private:
   EngineRegistry();
@@ -618,9 +598,15 @@ class EngineRegistry {
   const Entry* Resolve(const std::string& name,
                        std::string* canonical_name) const;
   /// Validate() after Canonicalize(): walks an alias-resolved tree
-  /// checking arity and option keys/values at every node.
-  std::optional<std::string> ValidateCanonical(
-      const EngineSpec& canonical) const;
+  /// checking arity, option keys/values and the root-only rule at
+  /// every node.  `nested` marks the tree's root as an inner spec.
+  std::optional<std::string> ValidateCanonical(const EngineSpec& canonical,
+                                               bool nested) const;
+  /// Shared body of Make() and MakeInner().
+  std::unique_ptr<Engine> Build(const EngineSpec& spec,
+                                const LabeledGraph& g,
+                                const EngineOptions& options,
+                                bool nested) const;
   /// Applies spec.options onto *options; throws on unknown key/value.
   void ApplyOptions(const EngineSpec& spec, const EngineDef& def,
                     EngineOptions* options) const;
@@ -635,6 +621,69 @@ std::unique_ptr<Engine> MakeEngine(const EngineSpec& spec,
                                    const LabeledGraph& g,
                                    const EngineOptions& options = {});
 std::vector<std::string> EngineNames();
+
+/// Base of the wrapper engines — the sharded serving layer, the tenant
+/// front door and the replica group (serve/, replica/).  A wrapper owns
+/// its inner engines and keeps only what its layer changes; everything
+/// else defaults to the primary inner engine, inner(0):
+///  * Name() and Describe().canonical_spec are the spec stamped by
+///    StampWrapperSpec, `name(<inner canonical spec>, key=value, ...)`;
+///  * Describe() is the inner engine's, with `inner_spec` set and the
+///    tenancy/replication flags read from this engine's own controls;
+///  * QueryIds, RegisteredQueries, host_graph and both phases forward.
+/// WrapperEngine is Engine's one friend: subclasses drive an inner
+/// engine's phases and InitReport through the protected helpers.
+class WrapperEngine : public Engine {
+ public:
+  const char* Name() const override;
+  EngineInfo Describe() const override;
+  std::vector<QueryId> QueryIds() const override;
+  std::vector<RegisteredQuery> RegisteredQueries() const override;
+  const LabeledGraph& host_graph() const override;
+
+ protected:
+  void RunMatchPhase(const UpdateBatch& batch, bool positive,
+                     const BatchOptions& options,
+                     BatchReport* report) override;
+  void RunUpdatePhase(const UpdateBatch& batch, const BatchOptions& options,
+                      BatchReport* report) override;
+
+  /// Builds an inner engine from `spec` (EngineRegistry::MakeInner) and
+  /// appends it.  Throws EngineSpecError when the spec does not resolve.
+  Engine& AddInner(const EngineSpec& spec, const LabeledGraph& g,
+                   const EngineOptions& options);
+  /// Swaps the primary inner engine (the replica group promotes a
+  /// restored leader on failover).
+  void ReplaceInner(std::unique_ptr<Engine> engine);
+  /// Inner engine `i`, in AddInner order; 0 is the primary.
+  Engine& inner(size_t i = 0) { return *inners_[i]; }
+  const Engine& inner(size_t i = 0) const { return *inners_[i]; }
+
+  /// Stamps `name(<inner()'s canonical spec>, key=value, ...)` as this
+  /// engine's canonical spec.  `keys` are the knobs the wrapper
+  /// materializes (its non-default ones), in order.
+  void StampWrapperSpec(
+      const std::string& name,
+      std::vector<std::pair<std::string, std::string>> keys);
+
+  /// Drive an inner engine's phases (see Engine's phase contract).
+  static void InnerMatchPhase(Engine& e, const UpdateBatch& batch,
+                              bool positive, const BatchOptions& options,
+                              BatchReport* report) {
+    e.RunMatchPhase(batch, positive, options, report);
+  }
+  static void InnerUpdatePhase(Engine& e, const UpdateBatch& batch,
+                               const BatchOptions& options,
+                               BatchReport* report) {
+    e.RunUpdatePhase(batch, options, report);
+  }
+  static void InnerInitReport(const Engine& e, BatchReport* report) {
+    e.InitReport(report);
+  }
+
+ private:
+  std::vector<std::unique_ptr<Engine>> inners_;
+};
 
 /// A query's *net* batch delta: device engines already emit it (this is
 /// the identity on their output, modulo order); the CSM baselines emit

@@ -117,7 +117,8 @@ class Engine;  // core/engine.hpp
 /// The replication capability interface.  Engines that replicate
 /// return a non-null pointer from `Engine::replication_control()` and
 /// report `Describe().supports_replication == true`; everything else
-/// returns nullptr.  Implemented by replica::ReplicatedEngine.
+/// returns nullptr.  Implemented by the replica group
+/// (replica/group.hpp).
 class ReplicationControl {
  public:
   virtual ~ReplicationControl() = default;

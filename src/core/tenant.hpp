@@ -168,7 +168,8 @@ struct FormedBatchStats {
 /// The tenancy capability interface.  Engines that support multi-tenant
 /// serving return a non-null pointer from `Engine::tenant_control()`
 /// and report `Describe().supports_tenancy == true`; everything else
-/// returns nullptr.  Implemented by serve::TenantFrontDoor.
+/// returns nullptr.  Implemented by the tenant front door
+/// (serve/tenant_front_door.hpp).
 class TenantControl {
  public:
   virtual ~TenantControl() = default;

@@ -34,12 +34,12 @@ ReplicatedEngine::ReplicatedEngine(const EngineSpec& spec,
                                    const LabeledGraph& g,
                                    const EngineOptions& options)
     : options_(options), transport_(options.replica) {
-  leader_ = EngineRegistry::Instance().Make(spec, g, options_);
-  if (!leader_->Describe().supports_snapshot) {
+  const EngineInfo leader = AddInner(spec, g, options_).Describe();
+  if (!leader.supports_snapshot) {
     throw EngineSpecError(
         "replicated(...) needs an inner engine with snapshot support "
         "(Describe().supports_snapshot); \"" +
-        leader_->Describe().canonical_spec + "\" has none");
+        leader.canonical_spec + "\" has none");
   }
   dir_ = options_.replica.dir;
   if (dir_.empty()) {
@@ -59,7 +59,7 @@ ReplicatedEngine::ReplicatedEngine(const EngineSpec& spec,
   wal.batches_per_segment = options_.replica.segment_batches;
   checkpointer_ = std::make_unique<persist::Checkpointer>(dir_, policy, wal);
 
-  const std::string inner = leader_->Describe().canonical_spec;
+  const std::string& inner = leader.canonical_spec;
   size_t n = options_.replica.followers;
   if (n == 0) n = 1;  // a group without a follower cannot fail over
   followers_.reserve(n);
@@ -68,8 +68,7 @@ ReplicatedEngine::ReplicatedEngine(const EngineSpec& spec,
         static_cast<int>(i), inner, g, options_, &transport_, dir_));
   }
   max_lag_.assign(n, 0);
-  StampCanonicalSpec("replicated(" + inner +
-                     ", followers=" + std::to_string(n) + ")");
+  StampWrapperSpec("replicated", {{"followers", std::to_string(n)}});
 }
 
 ReplicatedEngine::~ReplicatedEngine() {
@@ -83,14 +82,8 @@ ReplicatedEngine::~ReplicatedEngine() {
 }
 
 EngineInfo ReplicatedEngine::Describe() const {
-  EngineInfo info = leader_->Describe();
-  info.inner_spec = info.canonical_spec;
-  info.canonical_spec = CanonicalSpecOrName();
-  info.supports_replication = true;
+  EngineInfo info = WrapperEngine::Describe();
   info.num_followers = followers_.size();
-  // Tenant drive bypasses ProcessBatch (and therefore the tee);
-  // replicating a tenant front door is unsupported by design.
-  info.supports_tenancy = false;
   return info;
 }
 
@@ -100,7 +93,7 @@ uint64_t ReplicatedEngine::LeaderNextBatch() const {
 
 QueryId ReplicatedEngine::AddQuery(const QueryGraph& q) {
   GAMMA_CHECK_MSG(!leader_dead_, "AddQuery on a killed replica group");
-  const QueryId id = leader_->AddQuery(q);
+  const QueryId id = inner().AddQuery(q);
   for (auto& f : followers_) {
     const QueryId fid = f->AddQuery(q);
     GAMMA_CHECK_MSG(fid == id, "replica query ids diverged");
@@ -111,33 +104,21 @@ QueryId ReplicatedEngine::AddQuery(const QueryGraph& q) {
 
 bool ReplicatedEngine::RemoveQuery(QueryId id) {
   GAMMA_CHECK_MSG(!leader_dead_, "RemoveQuery on a killed replica group");
-  const bool ok = leader_->RemoveQuery(id);
+  const bool ok = inner().RemoveQuery(id);
   for (auto& f : followers_) f->RemoveQuery(id);
   if (ok) RecheckpointAfterMutation();
   return ok;
 }
 
-std::vector<QueryId> ReplicatedEngine::QueryIds() const {
-  return leader_->QueryIds();
-}
-
-std::vector<RegisteredQuery> ReplicatedEngine::RegisteredQueries() const {
-  return leader_->RegisteredQueries();
-}
-
 bool ReplicatedEngine::RestoreQuery(const QueryGraph& q, QueryId id) {
   GAMMA_CHECK_MSG(!leader_dead_, "RestoreQuery on a killed replica group");
-  if (!leader_->RestoreQuery(q, id)) return false;
+  if (!inner().RestoreQuery(q, id)) return false;
   for (auto& f : followers_) {
     GAMMA_CHECK_MSG(f->RestoreQuery(q, id),
                     "replica RestoreQuery diverged");
   }
   RecheckpointAfterMutation();
   return true;
-}
-
-const LabeledGraph& ReplicatedEngine::host_graph() const {
-  return leader_->host_graph();
 }
 
 void ReplicatedEngine::RunMatchPhase(const UpdateBatch& batch,
@@ -147,13 +128,7 @@ void ReplicatedEngine::RunMatchPhase(const UpdateBatch& batch,
   GAMMA_CHECK_MSG(!leader_dead_,
                   "ProcessBatch on a killed replica group (run "
                   "Failover() first)");
-  leader_->RunMatchPhase(batch, positive, options, report);
-}
-
-void ReplicatedEngine::RunUpdatePhase(const UpdateBatch& batch,
-                                      const BatchOptions& options,
-                                      BatchReport* report) {
-  leader_->RunUpdatePhase(batch, options, report);
+  WrapperEngine::RunMatchPhase(batch, positive, options, report);
 }
 
 void ReplicatedEngine::EnsureShipping() {
@@ -162,7 +137,7 @@ void ReplicatedEngine::EnsureShipping() {
   // snapshot (scenario ad-hoc provenance; the manifest's engine_spec
   // is the inner engine's, so restore/resync rebuild bare inner
   // engines, never nested replica groups).
-  checkpointer_->Begin(*leader_, /*seed=*/0, /*scenario=*/"");
+  checkpointer_->Begin(inner(), /*seed=*/0, /*scenario=*/"");
   shipping_ = true;
 }
 
@@ -171,7 +146,7 @@ void ReplicatedEngine::RecheckpointAfterMutation() {
   // The WAL records batches only; a mutated query set is durable (and
   // resync-consistent) from the next snapshot on, so cut one now
   // under a fresh generation.
-  checkpointer_->Begin(*leader_, /*seed=*/0, /*scenario=*/"",
+  checkpointer_->Begin(inner(), /*seed=*/0, /*scenario=*/"",
                        checkpointer_->next_batch(),
                        checkpointer_->totals());
 }
@@ -179,7 +154,7 @@ void ReplicatedEngine::RecheckpointAfterMutation() {
 void ReplicatedEngine::OnBatchDigested(const UpdateBatch& batch,
                                        const BatchReport& report) {
   EnsureShipping();
-  checkpointer_->OnBatchApplied(*leader_, batch, report);
+  checkpointer_->OnBatchApplied(inner(), batch, report);
   leader_ops_ += batch.size();
   const uint64_t bytes = TransportModel::BatchWireBytes(batch);
   shipped_batches_ += followers_.size();
@@ -276,12 +251,12 @@ bool ReplicatedEngine::Failover() {
   // follower set, shipping resumes under a fresh generation at the
   // resume offset.  Remaining followers ride the generation switch
   // through WalReader's gap/resync protocol.
-  leader_ = std::move(restored.engine);
+  ReplaceInner(std::move(restored.engine));
   leader_dead_ = false;
   followers_.erase(followers_.begin() +
                    static_cast<std::ptrdiff_t>(elected));
   leader_ops_ = restored.totals.ops;
-  checkpointer_->Begin(*leader_, /*seed=*/0, /*scenario=*/"",
+  checkpointer_->Begin(inner(), /*seed=*/0, /*scenario=*/"",
                        restored.next_batch, restored.totals);
 
   BDSM_OBS_COUNT("replica.failovers", 1);
@@ -381,6 +356,7 @@ void RegisterReplicaEngines(EngineRegistry* registry) {
     return std::unique_ptr<Engine>(
         new ReplicatedEngine(spec.children.front(), g, options));
   };
+  def.root_only = true;  // the WAL tee lives in OnBatchDigested
   registry->Register("replicated", std::move(def));
 }
 

@@ -10,9 +10,9 @@
 ///                          modeled link          ▼
 ///   follower 0..N-1  <── WalReader::Poll() ── segments + MANIFEST
 ///
-/// The leader is the inner engine; every phase forwards to it 1:1, so
-/// a replicated engine's reports are bit-identical to the bare inner
-/// engine's (tested).  After each digested batch the group tees the
+/// The leader is the inner engine (WrapperEngine::inner()); every phase
+/// forwards to it 1:1, so a replicated engine's reports are
+/// bit-identical to the bare inner engine's (tested).  After each digested batch the group tees the
 /// *sanitized* batch through its own Checkpointer (WAL + periodic
 /// snapshots, one tee layer exactly — do not attach a second
 /// checkpointer to a replicated engine) and advances any follower
@@ -47,7 +47,7 @@
 
 namespace bdsm::replica {
 
-class ReplicatedEngine : public Engine, public ReplicationControl {
+class ReplicatedEngine : public WrapperEngine, public ReplicationControl {
  public:
   static constexpr size_t kDefaultFollowers = 2;
 
@@ -60,18 +60,17 @@ class ReplicatedEngine : public Engine, public ReplicationControl {
                    const EngineOptions& options);
   ~ReplicatedEngine() override;
 
-  const char* Name() const override { return "replicated"; }
+  /// The leader's capabilities plus supports_replication and the
+  /// follower count.  supports_tenancy stays false even over a tenant
+  /// front door: tenant drive would bypass this group's ProcessBatch,
+  /// and so the tee.
   EngineInfo Describe() const override;
 
   /// Query mutations mirror across the leader and every follower, so
   /// public ids align across the replica set by construction.
   QueryId AddQuery(const QueryGraph& q) override;
   bool RemoveQuery(QueryId id) override;
-  std::vector<QueryId> QueryIds() const override;
-  std::vector<RegisteredQuery> RegisteredQueries() const override;
   bool RestoreQuery(const QueryGraph& q, QueryId id) override;
-
-  const LabeledGraph& host_graph() const override;
 
   ReplicationControl* replication_control() override { return this; }
 
@@ -87,12 +86,10 @@ class ReplicatedEngine : public Engine, public ReplicationControl {
   const std::string& dir() const { return dir_; }
 
  protected:
+  /// Refuses a batch while the leader is dead, then forwards.
   void RunMatchPhase(const UpdateBatch& batch, bool positive,
                      const BatchOptions& options,
                      BatchReport* report) override;
-  void RunUpdatePhase(const UpdateBatch& batch,
-                      const BatchOptions& options,
-                      BatchReport* report) override;
   void OnBatchDigested(const UpdateBatch& batch,
                        const BatchReport& report) override;
 
@@ -112,7 +109,7 @@ class ReplicatedEngine : public Engine, public ReplicationControl {
   std::string dir_;
   bool own_dir_ = false;
   TransportModel transport_;
-  std::unique_ptr<Engine> leader_;
+  // The leader is inner(); Failover swaps in the restored one.
   std::vector<std::unique_ptr<Follower>> followers_;
   std::unique_ptr<persist::Checkpointer> checkpointer_;
   bool shipping_ = false;

@@ -25,72 +25,49 @@ std::string FormatDouble(double v) {
 
 }  // namespace
 
-TenantFrontDoor::TenantFrontDoor(const EngineSpec& inner,
+TenantFrontDoor::TenantFrontDoor(const EngineSpec& inner_spec,
                                  const LabeledGraph& g,
                                  const EngineOptions& options)
-    : inner_(MakeEngine(inner, g, options)),
-      fd_(options.front_door) {
+    : fd_(options.front_door) {
+  AddInner(inner_spec, g, options);
   GAMMA_CHECK_MSG(fd_.batch_ops_min >= 1 && fd_.batch_ops_min <= fd_.batch_ops_max,
                   "tenant front door needs 1 <= batch_min <= batch_max");
   target_ops_ = std::clamp(fd_.batch_ops_init, fd_.batch_ops_min,
                            fd_.batch_ops_max);
   if (fd_.slo_window == 0) fd_.slo_window = 1;
-  inner_clock_ = inner_->Describe().clock;
+  inner_clock_ = inner().Describe().clock;
 
-  // Canonical spec: composed from the *built* inner engine with every
-  // non-default knob of this layer materialized, same as ShardedEngine
-  // (the provenance key bench JSON rows are diffed by).
+  // Every non-default knob of this layer is materialized.
   const FrontDoorOptions defaults;
-  EngineSpec self;
-  self.name = "tenant";
-  self.children.push_back(
-      EngineSpec::Parse(inner_->Describe().canonical_spec));
-  if (fd_.preregister_tenants > 0) {
-    self.options.emplace_back("tenants",
-                              std::to_string(fd_.preregister_tenants));
-  }
-  if (fd_.admission != defaults.admission) {
-    self.options.emplace_back("admission", "off");
-  }
-  if (fd_.slo_seconds != defaults.slo_seconds) {
-    self.options.emplace_back("slo", FormatDouble(fd_.slo_seconds));
-  }
-  if (fd_.batch_ops_min != defaults.batch_ops_min) {
-    self.options.emplace_back("batch_min", std::to_string(fd_.batch_ops_min));
-  }
-  if (fd_.batch_ops_max != defaults.batch_ops_max) {
-    self.options.emplace_back("batch_max", std::to_string(fd_.batch_ops_max));
-  }
-  if (fd_.batch_ops_init != defaults.batch_ops_init) {
-    self.options.emplace_back("batch_init",
-                              std::to_string(fd_.batch_ops_init));
-  }
-  if (fd_.slo_window != defaults.slo_window) {
-    self.options.emplace_back("window", std::to_string(fd_.slo_window));
-  }
-  if (fd_.queue_limit_ops != defaults.queue_limit_ops) {
-    self.options.emplace_back("queue_limit",
-                              std::to_string(fd_.queue_limit_ops));
-  }
-  if (fd_.degrade_batches != defaults.degrade_batches) {
-    self.options.emplace_back("degrade", std::to_string(fd_.degrade_batches));
-  }
-  if (fd_.default_policy.rate_ops_per_batch !=
-      defaults.default_policy.rate_ops_per_batch) {
-    self.options.emplace_back(
-        "rate", FormatDouble(fd_.default_policy.rate_ops_per_batch));
-  }
-  if (fd_.default_policy.burst_ops != defaults.default_policy.burst_ops) {
-    self.options.emplace_back("burst",
-                              FormatDouble(fd_.default_policy.burst_ops));
-  }
-  if (fd_.default_policy.result_budget !=
-      defaults.default_policy.result_budget) {
-    self.options.emplace_back(
-        "result_budget", std::to_string(fd_.default_policy.result_budget));
-  }
-  name_ = self.ToString();
-  StampCanonicalSpec(name_);
+  std::vector<std::pair<std::string, std::string>> keys;
+  auto key = [&keys](bool non_default, const char* name, std::string value) {
+    if (non_default) keys.emplace_back(name, std::move(value));
+  };
+  key(fd_.preregister_tenants > 0, "tenants",
+      std::to_string(fd_.preregister_tenants));
+  key(fd_.admission != defaults.admission, "admission", "off");
+  key(fd_.slo_seconds != defaults.slo_seconds, "slo",
+      FormatDouble(fd_.slo_seconds));
+  key(fd_.batch_ops_min != defaults.batch_ops_min, "batch_min",
+      std::to_string(fd_.batch_ops_min));
+  key(fd_.batch_ops_max != defaults.batch_ops_max, "batch_max",
+      std::to_string(fd_.batch_ops_max));
+  key(fd_.batch_ops_init != defaults.batch_ops_init, "batch_init",
+      std::to_string(fd_.batch_ops_init));
+  key(fd_.slo_window != defaults.slo_window, "window",
+      std::to_string(fd_.slo_window));
+  key(fd_.queue_limit_ops != defaults.queue_limit_ops, "queue_limit",
+      std::to_string(fd_.queue_limit_ops));
+  key(fd_.degrade_batches != defaults.degrade_batches, "degrade",
+      std::to_string(fd_.degrade_batches));
+  const TenantPolicy& policy = fd_.default_policy;
+  key(policy.rate_ops_per_batch != defaults.default_policy.rate_ops_per_batch,
+      "rate", FormatDouble(policy.rate_ops_per_batch));
+  key(policy.burst_ops != defaults.default_policy.burst_ops, "burst",
+      FormatDouble(policy.burst_ops));
+  key(policy.result_budget != defaults.default_policy.result_budget,
+      "result_budget", std::to_string(policy.result_budget));
+  StampWrapperSpec("tenant", std::move(keys));
 
   // The built-in default tenant (id 0) owns all plain AddQuery /
   // ProcessBatch traffic; `tenants=N` pre-registers N more.
@@ -100,27 +77,17 @@ TenantFrontDoor::TenantFrontDoor(const EngineSpec& inner,
   }
 }
 
-TenantFrontDoor::TenantFrontDoor(const std::string& inner,
+TenantFrontDoor::TenantFrontDoor(const std::string& inner_spec,
                                  const LabeledGraph& g,
                                  const EngineOptions& options)
-    : TenantFrontDoor(EngineSpec::Parse(inner), g, options) {}
-
-TenantFrontDoor::~TenantFrontDoor() = default;
-
-EngineInfo TenantFrontDoor::Describe() const {
-  EngineInfo info = inner_->Describe();
-  info.inner_spec = info.canonical_spec;
-  info.canonical_spec = CanonicalSpecOrName();
-  info.supports_tenancy = true;
-  return info;
-}
+    : TenantFrontDoor(EngineSpec::Parse(inner_spec), g, options) {}
 
 QueryId TenantFrontDoor::AddQuery(const QueryGraph& q) {
   return AddTenantQuery(kDefaultTenantId, q);
 }
 
 bool TenantFrontDoor::RemoveQuery(QueryId id) {
-  if (!inner_->RemoveQuery(id)) return false;
+  if (!inner().RemoveQuery(id)) return false;
   auto it = owner_of_.find(id);
   if (it != owner_of_.end()) {
     --tenants_[it->second].live_queries;
@@ -129,16 +96,8 @@ bool TenantFrontDoor::RemoveQuery(QueryId id) {
   return true;
 }
 
-std::vector<QueryId> TenantFrontDoor::QueryIds() const {
-  return inner_->QueryIds();
-}
-
-std::vector<RegisteredQuery> TenantFrontDoor::RegisteredQueries() const {
-  return inner_->RegisteredQueries();
-}
-
 bool TenantFrontDoor::RestoreQuery(const QueryGraph& q, QueryId id) {
-  if (!inner_->RestoreQuery(q, id)) return false;
+  if (!inner().RestoreQuery(q, id)) return false;
   owner_of_[id] = kDefaultTenantId;
   ++tenants_[kDefaultTenantId].live_queries;
   return true;
@@ -163,7 +122,7 @@ QueryId TenantFrontDoor::AddTenantQuery(TenantId tenant,
     ++t.counters.rejected_queries;
     return kInvalidQueryId;
   }
-  QueryId id = inner_->AddQuery(q);
+  QueryId id = inner().AddQuery(q);
   owner_of_[id] = tenant;
   ++t.live_queries;
   return id;
@@ -351,7 +310,7 @@ bool TenantFrontDoor::PumpFormedBatch(FormedBatchStats* out) {
     std::vector<double> max_wait(tenants_.size(), 0.0);
     for (const Tenant::QueuedOp& q : chosen) ops.push_back(q.op);
 
-    BatchReport report = inner_->ProcessBatch(ops);
+    BatchReport report = inner().ProcessBatch(ops);
     const double latency = report.latency_seconds;
 
     // Queue wait is virtual-clock: how much formed-batch service time
@@ -540,7 +499,7 @@ void TenantFrontDoor::RunMatchPhase(const UpdateBatch& batch, bool positive,
     }
   }
   const UpdateBatch& use = flat_use_clamped_ ? flat_clamped_ : batch;
-  inner_->RunMatchPhase(use, positive, options, report);
+  WrapperEngine::RunMatchPhase(use, positive, options, report);
   if (positive) {
     // Batch end.  FlushPhase has not run for this phase yet, so a
     // query's final count is its flushed count plus the unflushed tail.
@@ -573,7 +532,7 @@ void TenantFrontDoor::RunUpdatePhase(const UpdateBatch& batch,
                                      const BatchOptions& options,
                                      BatchReport* report) {
   const UpdateBatch& use = flat_use_clamped_ ? flat_clamped_ : batch;
-  inner_->RunUpdatePhase(use, options, report);
+  WrapperEngine::RunUpdatePhase(use, options, report);
 }
 
 // ------------------------------------------------------- registration

@@ -40,6 +40,9 @@
 ///    index over admitted/offered shares — surfaced by ScenarioRunner
 ///    and `bench_scenarios --json`.
 ///
+/// The tenant front door is the repo's one ingest queue: bounded,
+/// per-tenant, shedding instead of blocking.
+///
 /// Pass-through guarantee (tested): the direct `ProcessBatch` path
 /// forwards the engine phases 1:1 to the inner engine; under the
 /// default (fully permissive) policy the wrapped engine is
@@ -64,7 +67,7 @@
 
 namespace bdsm::serve {
 
-class TenantFrontDoor final : public Engine, public TenantControl {
+class TenantFrontDoor final : public WrapperEngine, public TenantControl {
  public:
   /// Wraps an engine built from `inner` (any registry spec tree) over
   /// `g`.  `options.front_door` configures this layer; inline spec
@@ -75,33 +78,22 @@ class TenantFrontDoor final : public Engine, public TenantControl {
   /// Convenience: parses `inner` ("gamma", "sharded(gamma)", ...).
   TenantFrontDoor(const std::string& inner, const LabeledGraph& g,
                   const EngineOptions& options = {});
-  ~TenantFrontDoor() override;
 
-  /// The canonical spec, e.g. "tenant(sharded(gamma, shards=4))".
-  const char* Name() const override { return name_.c_str(); }
-  /// Inner engine's capabilities + supports_tenancy; the clock is the
-  /// inner engine's (this layer adds no concurrency).
-  EngineInfo Describe() const override;
+  // Name(), Describe() (the inner engine's, plus supports_tenancy; the
+  // clock is the inner engine's — this layer adds no concurrency),
+  // QueryIds() and host_graph() come from WrapperEngine.
 
   /// Registers for the default tenant (id 0); subject to its quota.
   QueryId AddQuery(const QueryGraph& q) override;
   bool RemoveQuery(QueryId id) override;
-  std::vector<QueryId> QueryIds() const override;
 
   /// Snapshots pass through to the inner engine.  Tenancy is runtime
   /// policy, not matched state: restored queries re-register under the
   /// default tenant (re-attach ownership via AddTenantQuery on a fresh
   /// front door when tenant-faithful restore matters).
-  std::vector<RegisteredQuery> RegisteredQueries() const override;
   bool RestoreQuery(const QueryGraph& q, QueryId id) override;
 
-  const LabeledGraph& host_graph() const override {
-    return inner_->host_graph();
-  }
-
   TenantControl* tenant_control() override { return this; }
-
-  Engine& inner() { return *inner_; }
 
   // ----------------------------------------------- TenantControl
   TenantId RegisterTenant(const std::string& name,
@@ -117,10 +109,10 @@ class TenantFrontDoor final : public Engine, public TenantControl {
   double JainFairnessIndex() const override;
 
  protected:
-  // Flat pass-through: each phase forwards to the inner engine (the
-  // friend grant in core/engine.hpp), with the default tenant's
-  // token bucket optionally clamping the batch at the negative phase
-  // (the fixed first phase of every batch — see the phase contract).
+  // Flat pass-through: each phase forwards to the inner engine, with
+  // the default tenant's token bucket optionally clamping the batch at
+  // the negative phase (the fixed first phase of every batch — see the
+  // phase contract).
   void RunMatchPhase(const UpdateBatch& batch, bool positive,
                      const BatchOptions& options,
                      BatchReport* report) override;
@@ -168,8 +160,6 @@ class TenantFrontDoor final : public Engine, public TenantControl {
   /// One AIMD step on target_ops_ after observing `latency`.
   void AdaptTarget(double latency);
 
-  std::unique_ptr<Engine> inner_;
-  std::string name_;
   FrontDoorOptions fd_;
   ClockDomain inner_clock_ = ClockDomain::kHostWall;  ///< trace domain
 

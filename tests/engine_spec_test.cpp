@@ -38,7 +38,7 @@ TEST(EngineSpecTest, ParseToStringRoundTripsNestedSpecs) {
            "sharded(gamma, shards=8)",
            "sharded(gamma, shards=8, threads=4)",
            "sharded(gamma(result_cap=100000, budget=0.5), shards=2)",
-           "sharded(sharded(rf, shards=2), shards=2, queue=16)",
+           "sharded(sharded(rf, shards=2), shards=2, threads=2)",
            "tf(result_cap=100, budget=1.5)",
        }) {
     SCOPED_TRACE(text);
@@ -143,9 +143,31 @@ TEST(EngineSpecTest, BadValuesAndBadNestingAreRejected) {
             std::string::npos);
   EXPECT_NE(ErrorOf("sharded(gamma, tf)").find("exactly one"),
             std::string::npos);
+  // The removed ingest-queue key is unknown.
+  EXPECT_NE(ErrorOf("sharded(gamma, queue=16)").find("unknown option"),
+            std::string::npos);
   // Valid specs validate clean.
   EXPECT_EQ(ErrorOf("sharded(gamma(result_cap=10), shards=2)"), "");
   EXPECT_EQ(ErrorOf("multi(coalesced=false)"), "");
+}
+
+// The replica group tees batches in its end-of-batch hook, which runs
+// only on the outermost engine: nested, it would ship nothing.
+TEST(EngineSpecTest, ReplicatedIsRejectedBelowTheSpecRoot) {
+  for (const char* spec :
+       {"tenant(replicated(gamma, followers=1))",
+        "sharded(replicated(gamma), shards=2)",
+        "sharded(tenant(replicated(gamma)))",
+        "replicated(replicated(gamma))"}) {
+    SCOPED_TRACE(spec);
+    const std::string err = ErrorOf(spec);
+    EXPECT_NE(err.find("must be the root of the spec"), std::string::npos)
+        << err;
+    LabeledGraph g(std::vector<Label>(8, 0));
+    EXPECT_THROW((void)MakeEngine(spec, g), EngineSpecError);
+  }
+  EXPECT_EQ(ErrorOf("replicated(sharded(multi), followers=1)"), "");
+  EXPECT_EQ(ErrorOf("replicated(tenant(gamma))"), "");
 }
 
 TEST(EngineSpecTest, ProgrammaticBadSegmentCapacityThrowsNotAborts) {

@@ -98,7 +98,6 @@ TEST(EngineRegistryTest, DescribeSplitsClockDomains) {
     EXPECT_EQ(info.clock, ClockDomain::kModeledDevice) << name;
     EXPECT_EQ(info.canonical_spec, name);
     EXPECT_EQ(info.num_shards, 1u);
-    EXPECT_TRUE(info.supports_remove_query);
   }
   for (const char* name : {"tf", "sym", "rf", "cl", "gf"}) {
     EngineInfo info = MakeEngine(name, g)->Describe();
@@ -112,6 +111,24 @@ TEST(EngineRegistryTest, DescribeSplitsClockDomains) {
   EXPECT_STREQ(ClockDomainName(ClockDomain::kCriticalPath),
                "critical-path");
   EXPECT_STREQ(ClockDomainName(ClockDomain::kHostWall), "host-wall");
+}
+
+// Every wrapper composition the registry accepts reports capabilities
+// its controls back up, and names itself by its provenance spec.
+TEST(EngineRegistryTest, WrapperCapabilitiesMatchTheirControls) {
+  LabeledGraph g = GenerateUniformGraph(60, 150, 2, 1, 15);
+  for (const char* spec :
+       {"sharded(gamma)", "sharded(sharded(rf))", "tenant(gamma)",
+        "tenant(sharded(gamma))", "sharded(tenant(gamma))",
+        "replicated(gamma)", "replicated(sharded(multi))"}) {
+    SCOPED_TRACE(spec);
+    auto engine = MakeEngine(spec, g);
+    const EngineInfo info = engine->Describe();
+    EXPECT_EQ(info.supports_tenancy, engine->tenant_control() != nullptr);
+    EXPECT_EQ(info.supports_replication,
+              engine->replication_control() != nullptr);
+    EXPECT_EQ(engine->Name(), info.canonical_spec);
+  }
 }
 
 TEST(EngineRegistryTest, CustomRegistration) {

@@ -1,14 +1,12 @@
 /// Serving-layer tests (src/serve/): ShardedEngine parity against the
 /// unsharded inner engine for every registry name, determinism across
-/// pool sizes, query removal on shards, streaming fan-in, the bounded
-/// SubmitBatch ingest queue (back-pressure), and the registry's
+/// pool sizes, query removal on shards, streaming fan-in, back-pressure
+/// through the tenant front door's ingest queue, and the registry's
 /// composite-spec syntax.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -411,178 +409,12 @@ TEST(ShardedEngineTest, StreamingFanInPreservesPerQueryOrder) {
   }
 }
 
-// The async front door: futures resolve, in submission order, to the
-// same reports direct ProcessBatch calls produce.
-TEST(ShardedEngineTest, SubmitBatchMatchesDirectProcessing) {
-  LabeledGraph g = GenerateUniformGraph(100, 350, 3, 1, 101);
-  std::vector<UpdateBatch> stream = MakeStream(g, 102);
-
-  ShardedEngine direct("gamma", 2, g);
-  ShardedEngine async("gamma", 2, g);
-  for (const QueryGraph& q : FiveQueries()) {
-    direct.AddQuery(q);
-    async.AddQuery(q);
-  }
-
-  std::vector<std::future<BatchReport>> futures;
-  for (const UpdateBatch& b : stream) {
-    futures.push_back(async.SubmitBatch(b));
-  }
-  for (size_t i = 0; i < stream.size(); ++i) {
-    SCOPED_TRACE("batch " + std::to_string(i));
-    BatchReport got = futures[i].get();
-    BatchReport want = direct.ProcessBatch(stream[i]);
-    ExpectReportsEq(got, want, /*with_stats=*/true);
-  }
-  EXPECT_EQ(async.host_graph().NumEdges(), direct.host_graph().NumEdges());
-}
-
-/// Blocks the dispatcher inside its first delivery until released, so
-/// the test can observe a full ingest queue deterministically.
-struct GateSink final : ResultSink {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool entered = false;
-  bool release = false;
-
-  void OnMatch(QueryId, const MatchRecord&) override {
-    std::unique_lock<std::mutex> lock(mu);
-    if (release) return;
-    entered = true;
-    cv.notify_all();
-    cv.wait(lock, [this] { return release; });
-  }
-  void WaitUntilBlocked() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return entered; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-    cv.notify_all();
-  }
-};
-
-// Back-pressure: once `serve_queue_capacity` batches wait behind an
-// in-flight one, TrySubmitBatch sheds load instead of queueing more;
-// accepted batches all complete once the stall clears.
-TEST(ShardedEngineTest, BoundedQueueAppliesBackPressure) {
-  LabeledGraph g = GenerateUniformGraph(100, 350, 3, 1, 111);
-  std::vector<UpdateBatch> stream = MakeStream(g, 112);
-
-  // The gated batch must stream at least one match to block on.
-  {
-    auto probe = MakeEngine("gamma", g);
-    for (const QueryGraph& q : FiveQueries()) probe->AddQuery(q);
-    ASSERT_GT(probe->ProcessBatch(stream[0]).TotalMatches(), 0u);
-  }
-
-  EngineOptions opts;
-  opts.serve_queue_capacity = 2;
-  ShardedEngine sharded("gamma", 2, g, opts);
-  for (const QueryGraph& q : FiveQueries()) sharded.AddQuery(q);
-  EXPECT_EQ(sharded.QueueCapacity(), 2u);
-
-  GateSink gate;
-  BatchOptions gated;
-  gated.sink = &gate;
-  std::future<BatchReport> first = sharded.SubmitBatch(stream[0], gated);
-  gate.WaitUntilBlocked();  // dispatcher is mid-batch; queue is empty
-
-  auto second = sharded.TrySubmitBatch(stream[1]);
-  auto third = sharded.TrySubmitBatch(stream[2]);
-  ASSERT_TRUE(second.has_value());
-  ASSERT_TRUE(third.has_value());
-  EXPECT_EQ(sharded.PendingBatches(), 2u);
-
-  auto rejected = sharded.TrySubmitBatch(stream[2]);
-  EXPECT_FALSE(rejected.has_value());  // explicit back-pressure
-
-  gate.Release();
-  BatchReport r1 = first.get();
-  BatchReport r2 = second->get();
-  BatchReport r3 = third->get();
-  EXPECT_GT(r1.TotalMatches() + r2.TotalMatches() + r3.TotalMatches(), 0u);
-  EXPECT_EQ(sharded.PendingBatches(), 0u);
-
-  // Ingest observability: reports carry the host-wall time a batch
-  // waited behind the in-flight one and the queue depth at submit.
-  // The second and third batches queued while the gate held the
-  // dispatcher, so their waits are real; the third saw the second
-  // already queued ahead of it.
-  EXPECT_GT(r2.queue_wait_seconds, 0.0);
-  EXPECT_GT(r3.queue_wait_seconds, 0.0);
-  EXPECT_EQ(r2.queue_depth, 0u);
-  EXPECT_EQ(r3.queue_depth, 1u);
-
-  // Capacity is available again once the burst drains.
-  auto again = sharded.TrySubmitBatch(stream[2]);
-  ASSERT_TRUE(again.has_value());
-  again->get();
-}
-
-// Back-pressure fairness, no tenant layer: two producers racing a
-// capacity-1 ingest queue, each retrying its own rejected submissions,
-// both finish their whole disjoint workload — shedding never turns
-// into starvation.  Insert-only batches of unique fresh edges keep
-// every interleaving valid.
-TEST(ShardedEngineTest, TwoProducersBothProgressUnderBackPressure) {
-  LabeledGraph g = GenerateUniformGraph(100, 350, 3, 1, 131);
-  constexpr size_t kBatchesPerProducer = 5, kOpsPerBatch = 8;
-  std::vector<std::vector<UpdateBatch>> work(2);
-  VertexId u = 0, v = 1;
-  auto next_missing_edge = [&] {
-    while (v >= g.NumVertices() || g.HasEdge(u, v)) {
-      if (++v >= g.NumVertices()) {
-        ++u;
-        v = u + 1;
-      }
-    }
-  };
-  for (auto& batches : work) {
-    for (size_t b = 0; b < kBatchesPerProducer; ++b) {
-      UpdateBatch batch;
-      for (size_t i = 0; i < kOpsPerBatch; ++i) {
-        next_missing_edge();
-        batch.push_back(UpdateOp{true, u, v, kNoLabel});
-        ++v;  // never hand the same edge out twice
-      }
-      batches.push_back(std::move(batch));
-    }
-  }
-
-  EngineOptions opts;
-  opts.serve_queue_capacity = 1;
-  ShardedEngine sharded("gamma", 2, g, opts);
-  for (const QueryGraph& q : FiveQueries()) sharded.AddQuery(q);
-
-  std::vector<size_t> rejections(2, 0);
-  std::vector<std::thread> producers;
-  for (size_t p = 0; p < 2; ++p) {
-    producers.emplace_back([&, p] {
-      for (const UpdateBatch& batch : work[p]) {
-        std::optional<std::future<BatchReport>> fut;
-        while (!(fut = sharded.TrySubmitBatch(batch))) {
-          ++rejections[p];  // back-pressure: shed and retry, never block
-          std::this_thread::yield();
-        }
-        fut->get();
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-
-  // Both producers landed every batch: all 80 unique edges are in.
-  EXPECT_EQ(sharded.host_graph().NumEdges(),
-            g.NumEdges() + 2 * kBatchesPerProducer * kOpsPerBatch);
-  EXPECT_EQ(sharded.PendingBatches(), 0u);
-}
-
-// Back-pressure fairness, with the tenant layer: the same two-producer
-// race, but each producer ingests into its own bounded tenant queue of
-// a tenant(sharded(...)) front door (externally synchronized, per the
-// Engine contract) while a consumer pumps.  Both tenants get admitted
-// work and every offered op is accounted admitted-or-shed.
+// Back-pressure fairness through the ingest queue (the tenant front
+// door): two producers race, each ingesting into its own bounded
+// tenant queue of a tenant(sharded(...)) front door (externally
+// synchronized, per the Engine contract) while a consumer pumps.  Both
+// tenants get admitted work and every offered op is accounted
+// admitted-or-shed.
 TEST(ShardedEngineTest, TwoProducersBothProgressThroughTenantLayer) {
   LabeledGraph g = GenerateUniformGraph(100, 350, 3, 1, 137);
   std::vector<UpdateBatch> stream = MakeStream(g, 138, 40);
@@ -681,6 +513,9 @@ TEST(ShardedSpecTest, CanonicalSpecsResolve) {
   EXPECT_EQ(defaulted->Describe().canonical_spec,
             std::string(defaulted->Name()));
   EXPECT_EQ(defaulted->Describe().clock, ClockDomain::kCriticalPath);
+
+  // Built directly, the layer still refuses a root-only inner engine.
+  EXPECT_THROW(ShardedEngine("replicated(gamma)", 2, g), EngineSpecError);
 }
 
 // Nested wrappers must keep the critical-path clock honest: the outer
