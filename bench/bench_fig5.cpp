@@ -38,7 +38,11 @@ struct KernelSetup {
     }
   }
 
-  WbmEnv Env() { return WbmEnv{&gpma, &ctx, &enc, &order, true}; }
+  WbmEnv Env() {
+    WbmEnv env{&gpma, &ctx, &enc, &order, true};
+    env.mirror = &g;  // the engine's read path
+    return env;
+  }
 };
 
 }  // namespace

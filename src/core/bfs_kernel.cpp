@@ -63,10 +63,8 @@ class BfsTask : public WarpTask {
     while (budget-- > 0 && pos_ < frontier_.size()) {
       const Partial& p = frontier_[pos_++];
       GenCandidatesCost cost;
-      GenerateCandidates(*env_->graph, env_->qctx->q, *env_->enc,
-                         *env_->update_order, *plan_, p, level_,
-                         seed_.order, /*relaxed=*/false, &scratch_,
-                         &cands_, &cost);
+      GenerateCandidates(*env_, *plan_, p, level_, seed_.order,
+                         /*relaxed=*/false, &scratch_, &cands_, &cost);
       ctx.ChargeGlobal(cost.scan_words, true);
       ctx.ChargeGlobal(cost.probe_words, false);
       ctx.ChargeCompute(cost.compute_ops);
@@ -163,7 +161,7 @@ class BfsTask : public WarpTask {
   uint64_t held_bytes_ = 0;
   std::vector<Partial> frontier_;
   std::vector<Partial> next_frontier_;
-  std::vector<Neighbor> scratch_;
+  std::vector<Neighbor> scratch_;  ///< GPMA adjacency copy (no mirror)
   std::vector<VertexId> cands_;
 };
 

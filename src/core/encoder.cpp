@@ -8,6 +8,14 @@ CandidateEncoder::CandidateEncoder(const QueryGraph& q)
     : used_labels_(q.UsedVertexLabels()),
       num_query_vertices_(q.NumVertices()) {
   GAMMA_CHECK_MSG(3 * used_labels_.size() <= 64, "code exceeds 64 bits");
+  if (!used_labels_.empty()) {
+    GAMMA_CHECK_MSG(used_labels_.back() < (1u << 24),
+                    "vertex labels must be dense alphabet indices");
+    label_index_.assign(used_labels_.back() + 1, -1);
+  }
+  for (size_t i = 0; i < used_labels_.size(); ++i) {
+    label_index_[used_labels_[i]] = static_cast<int8_t>(i);
+  }
   qcodes_.resize(q.NumVertices());
   const size_t n = used_labels_.size();
   for (VertexId u = 0; u < q.NumVertices(); ++u) {
@@ -25,12 +33,6 @@ CandidateEncoder::CandidateEncoder(const QueryGraph& q)
     }
     qcodes_[u] = code;
   }
-}
-
-int CandidateEncoder::LabelIndex(Label l) const {
-  auto it = std::lower_bound(used_labels_.begin(), used_labels_.end(), l);
-  if (it == used_labels_.end() || *it != l) return -1;
-  return static_cast<int>(it - used_labels_.begin());
 }
 
 uint64_t CandidateEncoder::EncodeDataVertex(const LabeledGraph& g,

@@ -74,10 +74,15 @@ class CandidateEncoder {
  private:
   uint64_t EncodeDataVertex(const LabeledGraph& g, VertexId v) const;
   // Label -> index in used_labels_, or -1.
-  int LabelIndex(Label l) const;
+  int LabelIndex(Label l) const {
+    return l < label_index_.size() ? label_index_[l] : -1;
+  }
   uint16_t ComputeMask(uint64_t code) const;
 
   std::vector<Label> used_labels_;
+  /// Dense label -> index in used_labels_ (-1 when unused), sized to the
+  /// largest used label; larger labels are unused.
+  std::vector<int8_t> label_index_;
   std::vector<uint64_t> qcodes_;   ///< per query vertex
   size_t num_query_vertices_ = 0;
   std::vector<uint64_t> codes_;    ///< per data vertex

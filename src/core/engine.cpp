@@ -474,6 +474,16 @@ class DeviceEngine final : public LeafEngine<DeviceSlot> {
     }
     if (seeds.empty() || slots_.empty()) return;
 
+    // Matching reads graph_, which must hold exactly the GPMA's edges:
+    // both are pre-update here in the negative phase and post-update in
+    // the positive one (RunUpdatePhase applies the batch to both).
+    GAMMA_CHECK(2 * graph_.NumEdges() == gpma_.NumEntries());
+    Bitset endpoints(graph_.NumVertices());
+    for (const SeedEdge& seed : seeds) {
+      endpoints.Set(seed.v1);
+      endpoints.Set(seed.v2);
+    }
+
     // The launched tasks point into these envs: they must outlive every
     // Launch below.
     std::vector<WbmEnv> envs;
@@ -482,6 +492,8 @@ class DeviceEngine final : public LeafEngine<DeviceSlot> {
       envs.push_back(
           WbmEnv{&gpma_, &s.qctx, s.encoder.get(), &order, positive});
       envs.back().result_cap = options_.result_cap;
+      envs.back().mirror = &graph_;
+      envs.back().seed_endpoints = &endpoints;
     }
     auto charge = [&](size_t i, const DeviceStats& stats, bool over) {
       QueryReport& qr = report->queries[i];  // InitReport order

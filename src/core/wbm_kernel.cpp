@@ -223,9 +223,8 @@ class WbmTask : public WarpTask {
                          plan_->vk_size < plan_->order.size() &&
                          cur_ < plan_->vk_size;
     GenCandidatesCost cost;
-    GenerateCandidates(*env_->graph, env_->qctx->q, *env_->enc,
-                       *env_->update_order, *plan_, m_, cur_, seed_.order,
-                       relaxed, &scratch_, &f.cands, &cost);
+    GenerateCandidates(*env_, *plan_, m_, cur_, seed_.order, relaxed,
+                       &scratch_, &f.cands, &cost);
     ctx.ChargeGlobal(cost.scan_words, /*coalesced=*/true);
     ctx.ChargeGlobal(cost.probe_words, /*coalesced=*/false);
     ctx.ChargeCompute(cost.compute_ops);
@@ -319,7 +318,7 @@ class WbmTask : public WarpTask {
   /// then stay small until they run.
   std::vector<Frame> frames_;
   std::vector<std::array<VertexId, kMaxQueryVertices>> siblings_;
-  std::vector<Neighbor> scratch_;
+  std::vector<Neighbor> scratch_;  ///< GPMA adjacency copy (no mirror)
 };
 
 }  // namespace

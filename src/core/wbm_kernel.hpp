@@ -29,6 +29,7 @@
 #include "core/query_context.hpp"
 #include "gpma/gpma.hpp"
 #include "gpusim/device.hpp"
+#include "util/bitset.hpp"
 
 namespace bdsm {
 
@@ -59,6 +60,15 @@ struct WbmEnv {
   /// (set by RunWbmKernel or by the engine that builds the launch).
   std::atomic<size_t>* emitted = nullptr;
   std::atomic<bool>* overflowed = nullptr;
+  /// Host mirror holding exactly `graph`'s edges.  Candidate generation
+  /// reads its sorted adjacency spans; `graph` still prices every read.
+  /// Null falls back to reading through the GPMA, which only the
+  /// perfbench replay does; the fallback goes with the replay.
+  const LabeledGraph* mirror = nullptr;
+  /// Endpoints of every same-polarity seed.  A candidate outside it
+  /// cannot close an update edge, so it skips the `update_order` probe.
+  /// Null probes every candidate.
+  const Bitset* seed_endpoints = nullptr;
 };
 
 /// Builds one WBM warp task per seed, emitting into out_slots[i]

@@ -51,8 +51,9 @@ class DeviceAllocator {
   uint64_t total_spill_traffic() const { return total_spill_traffic_; }
 
   /// Device-memory occupancy in percent (can exceed 100 when spilling —
-  /// Fig. 5(a) clamps at 100).
+  /// Fig. 5(a) clamps at 100).  Sampled by blocks that run concurrently.
   double UsagePercent() const {
+    std::lock_guard<std::mutex> lock(mu_);
     return capacity_ == 0 ? 0.0
                           : 100.0 * static_cast<double>(live_) /
                                 static_cast<double>(capacity_);

@@ -49,7 +49,12 @@ struct BfsFixture {
     }
   }
 
-  WbmEnv Env() { return WbmEnv{&gpma, &ctx, &enc, &order, true}; }
+  /// The engine's launch environment: reads go to the host mirror `g`.
+  WbmEnv Env() {
+    WbmEnv env{&gpma, &ctx, &enc, &order, true};
+    env.mirror = &g;
+    return env;
+  }
 };
 
 TEST(BfsKernelTest, MatchesWbmResults) {
@@ -63,6 +68,30 @@ TEST(BfsKernelTest, MatchesWbmResults) {
     WbmResult dfs = RunWbmKernel(dev_dfs, s.Env(), s.seeds);
     EXPECT_EQ(CanonicalKeys(bfs.matches), CanonicalKeys(dfs.matches))
         << "seed " << seed;
+  }
+}
+
+TEST(BfsKernelTest, MirrorReadPathMatchesGpmaReadPath) {
+  // Reading adjacency from the host mirror instead of the GPMA must not
+  // move a match or a tick: the charges are computed from counts.
+  DeviceConfig cfg;
+  cfg.num_sms = 2;
+  cfg.warps_per_block = 4;
+  for (uint64_t seed : {11ull, 22ull, 33ull, 44ull, 55ull}) {
+    BfsFixture s(seed, 30);
+    WbmEnv via_gpma = s.Env();
+    via_gpma.mirror = nullptr;
+    Device dev_gpma(cfg), dev_mirror(cfg);
+    BfsResult want = RunBfsKernel(dev_gpma, via_gpma, s.seeds);
+    BfsResult got = RunBfsKernel(dev_mirror, s.Env(), s.seeds);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EXPECT_FALSE(got.matches.empty());
+    EXPECT_EQ(got.matches, want.matches);
+    EXPECT_EQ(got.stats.makespan_ticks, want.stats.makespan_ticks);
+    EXPECT_EQ(got.stats.global_transactions, want.stats.global_transactions);
+    EXPECT_EQ(got.stats.steal_events, want.stats.steal_events);
+    EXPECT_EQ(got.stats.uncoalesced_words, want.stats.uncoalesced_words);
+    EXPECT_EQ(got.stats.Utilization(), want.stats.Utilization());
   }
 }
 

@@ -15,9 +15,13 @@
 ///     keys, and the extremes;
 ///   * the full engine-visible surface — NumEdges, HasEdge/EdgeLabel
 ///     both directions, and every vertex's NeighborsOf — against the
-///     oracle.
+///     oracle;
+///   * on sanitized batches, agreement with a host-mirror LabeledGraph
+///     updated by bdsm::ApplyBatch, whose adjacency the matching kernels
+///     read in the GPMA's place.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <map>
 #include <tuple>
@@ -25,6 +29,8 @@
 #include <vector>
 
 #include "gpma/gpma.hpp"
+#include "graph/labeled_graph.hpp"
+#include "graph/update_stream.hpp"
 #include "util/common.hpp"
 #include "util/rng.hpp"
 
@@ -297,6 +303,41 @@ TEST_P(GpmaPropertyTest, SingleEdgePathMatchesOracle) {
     if (step % 50 == 49) CheckAll(gpma, oracle, &rng);
   }
   CheckAll(gpma, oracle, &rng);
+}
+
+TEST_P(GpmaPropertyTest, HostMirrorAgreesAfterEveryBatch) {
+  // The engine matches on its host mirror, so after every batch each
+  // touched vertex's adjacency must be identical in both copies: ids and
+  // edge labels, in the same order.  Batches are sanitized against the
+  // mirror as Engine::ProcessBatch does; a raw batch may insert one edge
+  // twice with different labels, a tie the two containers break apart.
+  Gpma gpma(cap());
+  LabeledGraph mirror(std::vector<Label>(kNumVertices, 0));
+  Oracle oracle;
+  Rng rng(seed() * 15485863 + cap());
+  // Growth, churn and drain mixes, as in the harness above.
+  const std::pair<size_t, double> phases[] = {
+      {120, 0.85}, {140, 0.5}, {160, 0.1}};
+  for (const auto& [ops, insert_prob] : phases) {
+    for (int round = 0; round < 8; ++round) {
+      const UpdateBatch batch =
+          SanitizeBatch(mirror, MakeBatch(oracle, &rng, ops, insert_prob));
+      gpma.ApplyBatch(batch);
+      ApplyBatch(&mirror, batch);
+      ApplyToOracle(&oracle, batch);
+      CheckAll(gpma, oracle, &rng);
+      ASSERT_EQ(gpma.NumEntries(), 2 * mirror.NumEdges());
+      for (const UpdateOp& op : batch) {
+        for (VertexId v : {op.u, op.v}) {
+          const std::vector<Neighbor> got = gpma.NeighborsOf(v);
+          const std::span<const Neighbor> want = mirror.Neighbors(v);
+          ASSERT_TRUE(
+              std::equal(got.begin(), got.end(), want.begin(), want.end()))
+              << "vertex " << v << " ops " << ops << " round " << round;
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

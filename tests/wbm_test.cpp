@@ -1,13 +1,15 @@
 /// WBM kernel + "gamma" engine correctness: differential testing against
 /// the from-scratch oracle (matches(G') \ matches(G) and the reverse),
 /// the paper's Fig. 1 running example, dedup across batch updates,
-/// work-stealing result invariance, and coalesced-search equivalence.
+/// work-stealing result invariance, coalesced-search equivalence, and
+/// host-mirror vs GPMA adjacency reads.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "baselines/enumerate.hpp"
 #include "core/query_context.hpp"
+#include "core/wbm_kernel.hpp"
 #include "graph/datasets.hpp"
 #include "graph/graph_generator.hpp"
 #include "graph/query_extractor.hpp"
@@ -258,6 +260,93 @@ TEST(WbmTest, SequentialBatchesStayConsistent) {
         << "round " << round;
     ApplyBatch(&g, batch);  // keep the reference in sync
   }
+}
+
+/// Per-seed match lists and stats of one launch on a fresh device.
+struct SeedLaunch {
+  std::vector<std::vector<MatchRecord>> per_seed;
+  DeviceStats stats;
+};
+
+SeedLaunch LaunchSeeds(const WbmEnv& env, const std::vector<SeedEdge>& seeds) {
+  Device device(SmallDevice().device);
+  SeedLaunch out;
+  out.stats = device.Launch(MakeWbmTasks(env, seeds, &out.per_seed));
+  return out;
+}
+
+TEST(WbmTest, MirrorReadPathMatchesGpmaReadPath) {
+  // The kernel reads adjacency from the host mirror and skips the dedup
+  // probe for candidates that are no seed endpoint.  The GPMA read path
+  // with every probe must agree seed for seed, charges included: the
+  // ticks are computed from counts, never from where an entry lives.
+  struct Case {
+    const char* name;
+    QueryGraph q;
+    size_t elabels;  ///< graph edge labels (1: unlabeled)
+    bool coalesced;
+  };
+  QueryGraph tailed({0, 0, 0, 1});  // triangle + tail: coalesced plans
+  tailed.AddEdge(0, 1);
+  tailed.AddEdge(1, 2);
+  tailed.AddEdge(0, 2);
+  tailed.AddEdge(2, 3);
+  QueryGraph path({0, 1, 0, 1});
+  path.AddEdge(0, 1);
+  path.AddEdge(1, 2);
+  path.AddEdge(2, 3);
+  QueryGraph labeled({0, 1, 0});  // edge labels must match too
+  labeled.AddEdge(0, 1, 0);
+  labeled.AddEdge(1, 2, 1);
+  labeled.AddEdge(0, 2, 2);
+  const Case cases[] = {{"triangle+tail", tailed, 1, true},
+                        {"path", path, 1, false},
+                        {"edge-labeled", labeled, 3, false}};
+  size_t total_matches = 0;
+  for (uint64_t seed : {11ull, 22ull, 33ull, 44ull, 55ull}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed));
+      LabeledGraph g = GenerateUniformGraph(150, 500, 2, c.elabels, seed);
+      UpdateStreamGenerator gen(seed * 31 + 7);
+      const UpdateBatch batch =
+          SanitizeBatch(g, gen.MakeMixed(g, 40, 2, 1,
+                                         c.elabels > 1 ? c.elabels : 0));
+      const QueryContext ctx =
+          BuildQueryContext(c.q, c.coalesced, c.coalesced);
+      CandidateEncoder enc(c.q);
+      Gpma gpma(32);
+      gpma.BuildFrom(g);
+      enc.BuildAll(g);
+      for (bool positive : {false, true}) {
+        if (positive) {  // the engine's update phase, on both copies
+          gpma.ApplyBatch(batch);
+          ApplyBatch(&g, batch);
+          enc.ApplyBatchDirty(g, batch);
+        }
+        std::vector<SeedEdge> seeds;
+        std::unordered_map<Edge, uint32_t, EdgeHash> order;
+        Bitset endpoints(g.NumVertices());
+        for (const UpdateOp& op : batch) {
+          if (op.is_insert != positive) continue;
+          const auto next = static_cast<uint32_t>(seeds.size());
+          seeds.push_back(SeedEdge{op.u, op.v, op.elabel, next});
+          order.emplace(Edge(op.u, op.v), next);
+          endpoints.Set(op.u);
+          endpoints.Set(op.v);
+        }
+        const WbmEnv via_gpma{&gpma, &ctx, &enc, &order, positive};
+        WbmEnv via_mirror = via_gpma;
+        via_mirror.mirror = &g;
+        via_mirror.seed_endpoints = &endpoints;
+        const SeedLaunch want = LaunchSeeds(via_gpma, seeds);
+        const SeedLaunch got = LaunchSeeds(via_mirror, seeds);
+        EXPECT_EQ(got.per_seed, want.per_seed) << "positive " << positive;
+        EXPECT_EQ(got.stats, want.stats) << "positive " << positive;
+        for (const auto& slot : got.per_seed) total_matches += slot.size();
+      }
+    }
+  }
+  EXPECT_GT(total_matches, 0u);
 }
 
 TEST(WbmTest, EmptyBatchYieldsNothing) {
