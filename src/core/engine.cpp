@@ -113,6 +113,24 @@ BatchReport Engine::ProcessBatch(const UpdateBatch& raw_batch,
   return report;
 }
 
+BatchReport Engine::ReplayBatch(const UpdateBatch& raw_batch) {
+  BatchReport report;
+  InitReport(&report);
+  Timer wall;
+  const UpdateBatch batch = SanitizeBatch(host_graph(), raw_batch);
+  // No seeds in either match phase; the update phase moves the state.
+  const UpdateBatch no_seeds;
+  BatchOptions state_only;
+  state_only.materialize = false;
+  RunMatchPhase(no_seeds, /*positive=*/false, state_only, &report);
+  RunUpdatePhase(batch, state_only, &report);
+  RunMatchPhase(no_seeds, /*positive=*/true, state_only, &report);
+  FlushPhase(state_only, &report);
+  report.host_wall_seconds = wall.ElapsedSeconds();
+  report.latency_seconds = LatencySeconds(report);
+  return report;
+}
+
 double Engine::LatencySeconds(const BatchReport& report) {
   if (clock_cache_ < 0) {
     const EngineInfo info = Describe();
@@ -304,6 +322,11 @@ std::vector<QueryId> WrapperEngine::QueryIds() const {
 
 std::vector<RegisteredQuery> WrapperEngine::RegisteredQueries() const {
   return inner().RegisteredQueries();
+}
+
+const UpdateBatch& WrapperEngine::AppliedBatch(
+    const UpdateBatch& batch) const {
+  return inner().AppliedBatch(batch);
 }
 
 const LabeledGraph& WrapperEngine::host_graph() const {

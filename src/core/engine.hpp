@@ -172,8 +172,9 @@ struct BatchReport {
   /// the modeled device makespan (update + matching ticks) overlapped
   /// with host preprocessing (§IV-A) for kModeledDevice,
   /// critical_path_seconds for kCriticalPath, host_wall_seconds for
-  /// kHostWall.  Filled once by Engine::ProcessBatch, the one place
-  /// that maps a clock to seconds; every consumer reads it from here.
+  /// kHostWall.  Filled once by Engine::ProcessBatch (or ReplayBatch)
+  /// through Engine::LatencySeconds, the one place that maps a clock to
+  /// seconds; every consumer reads it from here.
   double latency_seconds = 0.0;
 
   QueryReport* Find(QueryId id) {
@@ -315,6 +316,15 @@ class Engine {
   /// The engine's evolving host-side graph (updated by ProcessBatch).
   virtual const LabeledGraph& host_graph() const = 0;
 
+  /// The ops of the last digested `batch` that reached this engine's
+  /// state: `batch` itself, unless a layer admitted only a prefix of it
+  /// (the tenant front door's flat-path token bucket).  The replica
+  /// group logs this, so a follower's state-only replay applies exactly
+  /// the leader's state change.
+  virtual const UpdateBatch& AppliedBatch(const UpdateBatch& batch) const {
+    return batch;
+  }
+
   /// Tenancy capability (core/tenant.hpp): non-null exactly when
   /// Describe().supports_tenancy — drivers reach tenant registration,
   /// ingest and accounting through this interface instead of
@@ -342,17 +352,28 @@ class Engine {
   BatchReport ProcessBatch(const UpdateBatch& batch,
                            const BatchOptions& options = {});
 
+  /// Applies a logged batch's state change without enumerating matches:
+  /// sanitizes it, runs both match phases over an empty batch (the
+  /// phase contract stands) and the update phase over the batch,
+  /// materializing nothing.  Device engines leave with the same GPMA,
+  /// host mirror and encoders as ProcessBatch; CSM engines still match
+  /// inside their update phase (their indices need it) but keep only
+  /// counts.  `latency_seconds` is filled as in ProcessBatch; the
+  /// obs counters/spans and OnBatchDigested do not run.  Replica
+  /// followers replay the leader's WAL through this.
+  BatchReport ReplayBatch(const UpdateBatch& batch);
+
  protected:
   // Wrapper engines drive the same phases on the inner engines they
   // own; WrapperEngine hands its subclasses the access.
   friend class WrapperEngine;
 
   /// Template-method phases over a batch already sanitized against
-  /// host_graph().  ProcessBatch drives them, and wrapper engines drive
-  /// them on the inner engines they own.  Engines whose processing
-  /// cannot be split (the sequential CSM chassis interleaves matching
-  /// with updates) do all their work in RunUpdatePhase and leave
-  /// RunMatchPhase empty.
+  /// host_graph().  ProcessBatch and ReplayBatch drive them, and
+  /// wrapper engines drive them on the inner engines they own.  Engines
+  /// whose processing cannot be split (the sequential CSM chassis
+  /// interleaves matching with updates) do all their work in
+  /// RunUpdatePhase and leave RunMatchPhase empty.
   ///
   /// Phase contract: a driver must run every batch through the full,
   /// fixed sequence — RunMatchPhase(positive=false), RunUpdatePhase,
@@ -630,7 +651,8 @@ std::vector<std::string> EngineNames();
 ///    StampWrapperSpec, `name(<inner canonical spec>, key=value, ...)`;
 ///  * Describe() is the inner engine's, with `inner_spec` set and the
 ///    tenancy/replication flags read from this engine's own controls;
-///  * QueryIds, RegisteredQueries, host_graph and both phases forward.
+///  * QueryIds, RegisteredQueries, host_graph, AppliedBatch and both
+///    phases forward.
 /// WrapperEngine is Engine's one friend: subclasses drive an inner
 /// engine's phases and InitReport through the protected helpers.
 class WrapperEngine : public Engine {
@@ -640,6 +662,7 @@ class WrapperEngine : public Engine {
   std::vector<QueryId> QueryIds() const override;
   std::vector<RegisteredQuery> RegisteredQueries() const override;
   const LabeledGraph& host_graph() const override;
+  const UpdateBatch& AppliedBatch(const UpdateBatch& batch) const override;
 
  protected:
   void RunMatchPhase(const UpdateBatch& batch, bool positive,

@@ -136,7 +136,10 @@ UpdateBatch SanitizeBatch(const LabeledGraph& g, const UpdateBatch& batch) {
   std::unordered_set<Edge, EdgeHash> seen;
   for (const UpdateOp& op : batch) {
     Edge e(op.u, op.v);
-    if (op.u == op.v || seen.count(e)) continue;
+    if (op.u == op.v || op.u >= g.NumVertices() || op.v >= g.NumVertices() ||
+        seen.count(e)) {
+      continue;
+    }
     bool exists = g.HasEdge(op.u, op.v);
     if (op.is_insert == exists) continue;  // no-op insert or delete
     seen.insert(e);

@@ -77,8 +77,10 @@ class UpdateStreamGenerator {
   Rng rng_;
 };
 
-/// Removes intra-batch conflicts: duplicate ops on one edge, insertion of
-/// existing edges, deletion of absent edges.  Keeps first occurrence.
+/// Removes ops no engine can apply: self-loops, ops with an endpoint that
+/// is not a vertex of `g` (id >= g.NumVertices()), duplicate ops on one
+/// edge, insertion of existing edges, deletion of absent edges.  Keeps
+/// first occurrence.
 UpdateBatch SanitizeBatch(const LabeledGraph& g, const UpdateBatch& batch);
 
 }  // namespace bdsm

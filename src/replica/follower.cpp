@@ -52,7 +52,7 @@ size_t Follower::CatchUp() {
 #if BDSM_OBS
     const double span_start = transport_seconds_ + apply_seconds_;
 #endif
-    const double apply = engine_->ProcessBatch(batch).latency_seconds;
+    const double apply = engine_->ReplayBatch(batch).latency_seconds;
     transport_seconds_ += ship;
     apply_seconds_ += apply;
     covered_ops_ += batch.size();

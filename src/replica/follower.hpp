@@ -8,12 +8,14 @@
 /// (same inner spec over the same initial graph; query mutations are
 /// mirrored by the group as they happen, so the registered sets track
 /// each other by construction).  `CatchUp()` polls the WAL and
-/// applies every newly durable batch through the inner engine's
-/// ordinary `ProcessBatch` — the batches in the log are the leader's
+/// replays every newly durable batch as state only, through
+/// `Engine::ReplayBatch`: nothing reads a follower's matches, so it
+/// enumerates none (CSM inners still match inside their update phase
+/// but keep only counts).  The batches in the log are the leader's
 /// *sanitized* batches, and a follower at the same stream position
 /// holds the identical graph, so re-sanitization is the identity and
-/// the follower's matches are bit-identical to the leader's at that
-/// position.  When the manifest stops covering the follower's cursor
+/// the follower's graph, GPMA and encoders stay in lockstep with the
+/// leader's.  When the manifest stops covering the follower's cursor
 /// (a checkpoint generation switch pruned the segments it still
 /// needed — e.g. after a failover), the follower *resyncs*: it
 /// rebuilds its engine from the manifest's snapshot, resets the
@@ -24,7 +26,8 @@
 /// Clock discipline: each follower accrues a virtual critical-path
 /// clock — modeled link seconds per shipped batch (replica/
 /// transport.hpp) plus the inner engine's BatchReport::latency_seconds
-/// per applied batch.  Never host wall time.
+/// per replayed batch, which charges the update phase only, on the
+/// inner engine's own clock.
 #pragma once
 
 #include <memory>

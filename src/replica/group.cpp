@@ -154,9 +154,13 @@ void ReplicatedEngine::RecheckpointAfterMutation() {
 void ReplicatedEngine::OnBatchDigested(const UpdateBatch& batch,
                                        const BatchReport& report) {
   EnsureShipping();
-  checkpointer_->OnBatchApplied(inner(), batch, report);
-  leader_ops_ += batch.size();
-  const uint64_t bytes = TransportModel::BatchWireBytes(batch);
+  // Log what the leader applied (a tenant front door may admit only a
+  // prefix): followers replay the log as state only, without re-running
+  // admission.
+  const UpdateBatch& applied = inner().AppliedBatch(batch);
+  checkpointer_->OnBatchApplied(inner(), applied, report);
+  leader_ops_ += applied.size();
+  const uint64_t bytes = TransportModel::BatchWireBytes(applied);
   shipped_batches_ += followers_.size();
   shipped_bytes_ += bytes * followers_.size();
   BDSM_OBS_COUNT("replica.shipped_batches", followers_.size());

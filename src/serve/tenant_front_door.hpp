@@ -95,6 +95,13 @@ class TenantFrontDoor final : public WrapperEngine, public TenantControl {
 
   TenantControl* tenant_control() override { return this; }
 
+  /// The default tenant's admitted prefix when its token bucket clamped
+  /// the last flat-path batch.
+  const UpdateBatch& AppliedBatch(const UpdateBatch& batch) const override {
+    return WrapperEngine::AppliedBatch(flat_use_clamped_ ? flat_clamped_
+                                                         : batch);
+  }
+
   // ----------------------------------------------- TenantControl
   TenantId RegisterTenant(const std::string& name,
                           const TenantPolicy& policy) override;

@@ -3,12 +3,14 @@
 /// matches == each CSM baseline's NetEffect), streaming-sink vs
 /// materialized equivalence, dynamic AddQuery/RemoveQuery, the device
 /// engine's two charging rules, the one-latency-per-batch contract,
-/// and the unified truncation reporting.
+/// the unified truncation reporting, and sanitization of ops whose
+/// endpoint is not a vertex.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
 #include <set>
+#include <utility>
 
 #include "baselines/enumerate.hpp"
 #include "core/engine.hpp"
@@ -608,6 +610,47 @@ TEST(EngineReportTest, EmptyEngineStillAdvancesGraph) {
     EXPECT_TRUE(report.queries.empty());
     EXPECT_EQ(report.TotalMatches(), 0u);
     EXPECT_EQ(engine->host_graph().NumEdges(), g.NumEdges() + 10);
+  }
+}
+
+// An op with an endpoint that is not a vertex is dropped at
+// sanitization, like a self-loop: the batch digests as a no-op on the
+// device engines.  The GPMA keeps its entry count, so the next batch
+// passes the per-launch mirror/GPMA check and charges exactly what a
+// witness engine that never saw the op charges.
+TEST(EngineReportTest, OutOfRangeEndpointDigestsAsNoOp) {
+  LabeledGraph g({0, 0, 1, 1});
+  for (auto [u, v] : {std::pair<VertexId, VertexId>{0, 1}, {1, 2}, {0, 3},
+                      {1, 3}}) {
+    g.InsertEdge(u, v);
+  }
+  const UpdateBatch bad = {UpdateOp{true, 2, 9}};
+  EXPECT_TRUE(SanitizeBatch(g, bad).empty());
+  EXPECT_TRUE(SanitizeBatch(g, {UpdateOp{false, 9, 1}}).empty());
+  // Closes triangle (0, 1, 2) and opens triangle (0, 1, 3).
+  const UpdateBatch next = {UpdateOp{true, 0, 2}, UpdateOp{false, 1, 3}};
+
+  for (const char* name : {"gamma", "multi"}) {
+    SCOPED_TRACE(name);
+    auto engine = MakeEngine(name, g);
+    auto witness = MakeEngine(name, g);
+    const QueryId q = engine->AddQuery(TriangleQuery());
+    const QueryId wq = witness->AddQuery(TriangleQuery());
+
+    const BatchReport none = engine->ProcessBatch(bad);
+    EXPECT_EQ(none.TotalMatches(), 0u);
+    EXPECT_EQ(engine->host_graph(), g);
+    EXPECT_EQ(none.update_stats, witness->ProcessBatch({}).update_stats);
+
+    const BatchReport got = engine->ProcessBatch(next);
+    const BatchReport want = witness->ProcessBatch(next);
+    EXPECT_GT(want.Find(wq)->num_positive, 0u);
+    EXPECT_GT(want.Find(wq)->num_negative, 0u);
+    EXPECT_EQ(engine->host_graph(), witness->host_graph());
+    EXPECT_EQ(got.Find(q)->positive_matches, want.Find(wq)->positive_matches);
+    EXPECT_EQ(got.Find(q)->negative_matches, want.Find(wq)->negative_matches);
+    EXPECT_EQ(got.update_stats, want.update_stats);
+    EXPECT_EQ(got.match_stats, want.match_stats);
   }
 }
 

@@ -4,12 +4,13 @@
 /// a follower is mid-tail — converge, never double-apply), follower
 /// convergence and the bounded-staleness contract, wrapper
 /// transparency (a replicated engine's reports are bit-identical to
-/// the bare inner engine's), and the headline invariant — kill the
-/// leader mid-stream, fail over to a follower, finish the stream, and
-/// the completed run is bit-identical (matches, order, counts,
-/// truncation flags) to an uninterrupted unreplicated run for
-/// gamma / CSM / sharded inners, match-multiset-identical for the
-/// fused "multi" engine, across smoke and churn scenarios.
+/// the bare inner engine's), follower replays that keep the device
+/// state (GPMA, mirror, encoders) in lockstep, and the headline
+/// invariant — kill the leader mid-stream, fail over to a follower,
+/// finish the stream, and the completed run is bit-identical (matches,
+/// order, counts, truncation flags) to an uninterrupted unreplicated
+/// run for gamma / CSM / sharded inners, match-multiset-identical for
+/// the fused "multi" engine, across smoke and churn scenarios.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include "persist/checkpoint.hpp"
 #include "persist/wal_reader.hpp"
 #include "replica/failover.hpp"
+#include "replica/follower.hpp"
 #include "replica/group.hpp"
 #include "replica/transport.hpp"
 #include "workload/scenario_runner.hpp"
@@ -204,30 +206,37 @@ TEST(WalReaderTest, GenerationSwitchBehindCursorReportsGap) {
 
 // --------------------------------------------------------- replica group
 
+// The tenant spec's token bucket admits only a prefix of each smoke
+// batch: followers replay the log as state only, so it must record the
+// admitted ops (Engine::AppliedBatch), not the offered ones.
 TEST(ReplicaGroupTest, FollowersConvergeToLeaderState) {
   const workload::ScenarioRunner& r = SmokeRunner();
-  std::unique_ptr<Engine> group =
-      FreshEngine(r, "replicated(gamma, followers=2)");
-  ReplicationControl* rc = group->replication_control();
-  ASSERT_NE(rc, nullptr);
-  EXPECT_TRUE(group->Describe().supports_replication);
-  EXPECT_EQ(group->Describe().num_followers, 2u);
+  for (const char* spec : {"replicated(gamma, followers=2)",
+                           "replicated(tenant(gamma, rate=5), followers=2)"}) {
+    SCOPED_TRACE(spec);
+    std::unique_ptr<Engine> group = FreshEngine(r, spec);
+    ReplicationControl* rc = group->replication_control();
+    ASSERT_NE(rc, nullptr);
+    EXPECT_TRUE(group->Describe().supports_replication);
+    EXPECT_EQ(group->Describe().num_followers, 2u);
 
-  for (const UpdateBatch& batch : r.stream()) group->ProcessBatch(batch);
-  rc->DrainFollowers();
+    for (const UpdateBatch& batch : r.stream()) group->ProcessBatch(batch);
+    rc->DrainFollowers();
 
-  ReplicationStats stats = rc->Stats();
-  EXPECT_EQ(stats.leader_batches, r.stream().size());
-  EXPECT_EQ(stats.shipped_batches, 2 * r.stream().size());
-  EXPECT_EQ(stats.MaxLagBatches(), 0u);
-  EXPECT_EQ(stats.MaxLagUpdates(), 0u);
-  ASSERT_EQ(stats.replicas.size(), 2u);
-  for (size_t i = 0; i < 2; ++i) {
-    const Engine* follower = rc->FollowerEngine(i);
-    ASSERT_NE(follower, nullptr);
-    EXPECT_EQ(follower->host_graph(), group->host_graph()) << "replica " << i;
-    EXPECT_EQ(follower->QueryIds(), group->QueryIds()) << "replica " << i;
-    EXPECT_EQ(stats.replicas[i].applied_batches, r.stream().size());
+    ReplicationStats stats = rc->Stats();
+    EXPECT_EQ(stats.leader_batches, r.stream().size());
+    EXPECT_EQ(stats.shipped_batches, 2 * r.stream().size());
+    EXPECT_EQ(stats.MaxLagBatches(), 0u);
+    EXPECT_EQ(stats.MaxLagUpdates(), 0u);
+    ASSERT_EQ(stats.replicas.size(), 2u);
+    for (size_t i = 0; i < 2; ++i) {
+      const Engine* follower = rc->FollowerEngine(i);
+      ASSERT_NE(follower, nullptr);
+      EXPECT_EQ(follower->host_graph(), group->host_graph())
+          << "replica " << i;
+      EXPECT_EQ(follower->QueryIds(), group->QueryIds()) << "replica " << i;
+      EXPECT_EQ(stats.replicas[i].applied_batches, r.stream().size());
+    }
   }
 }
 
@@ -338,6 +347,66 @@ TEST(ReplicaGroupTest, GenerationSwitchWhileFollowerMidTailConverges) {
   for (size_t i = 0; i < rc->NumFollowers(); ++i) {
     EXPECT_EQ(rc->FollowerEngine(i)->host_graph(), bare->host_graph())
         << "replica " << i;
+  }
+}
+
+// Followers replay the WAL as state only (Engine::ReplayBatch), so no
+// match list proves them; the device state must.  A follower built the
+// way perfbench's replay builds one (bare leader + Checkpointer +
+// Follower) tails the first batches, then both engines digest the rest
+// through ProcessBatch: matches and modeled device stats, which read
+// the GPMA layout, the host mirror and every encoder, agree bit for bit.
+TEST(ReplicaGroupTest, FollowerReplayKeepsDeviceStateInLockstep) {
+  const workload::ScenarioRunner& r = UniformRunner();
+  const std::vector<UpdateBatch>& stream = r.stream();
+  const size_t replayed = stream.size() - 3;
+  for (const char* spec : {"gamma", "multi", "sharded(gamma, shards=2)"}) {
+    SCOPED_TRACE(spec);
+    const std::string dir = TempDir("replica_lockstep");
+    const EngineOptions options;
+    std::unique_ptr<Engine> leader = FreshEngine(r, spec, options);
+    persist::CheckpointPolicy policy;
+    policy.every_batches = 0;  // base snapshot only: no resync rebuilds
+    persist::Checkpointer ckpt(dir, policy);
+    const TransportModel transport(options.replica);
+    Follower follower(0, leader->Describe().canonical_spec, r.graph(),
+                      options, &transport, dir);
+    for (const QueryGraph& q : r.queries()) follower.AddQuery(q);
+
+    for (size_t b = 0; b < replayed; ++b) {
+      const UpdateBatch batch = SanitizeBatch(leader->host_graph(), stream[b]);
+      const BatchReport rep = leader->ProcessBatch(batch);
+      if (b == 0) ckpt.Begin(*leader, /*seed=*/0, /*scenario=*/"");
+      ckpt.OnBatchApplied(*leader, batch, rep);
+      if (b % 2 == 1) follower.CatchUp();  // trail mid-tail, then drain
+    }
+    follower.CatchUp();
+    EXPECT_EQ(follower.applied_batches(), replayed);
+    EXPECT_EQ(follower.resyncs(), 0u);
+    EXPECT_GT(follower.apply_seconds(), 0.0);
+
+    Engine& replica = *follower.engine();
+    size_t matches = 0;
+    for (size_t b = replayed; b < stream.size(); ++b) {
+      SCOPED_TRACE("batch " + std::to_string(b));
+      const BatchReport want = leader->ProcessBatch(stream[b]);
+      const BatchReport got = replica.ProcessBatch(stream[b]);
+      ASSERT_EQ(got.queries.size(), want.queries.size());
+      for (size_t q = 0; q < want.queries.size(); ++q) {
+        const QueryReport& g = got.queries[q];
+        const QueryReport& w = want.queries[q];
+        EXPECT_EQ(g.id, w.id);
+        EXPECT_EQ(g.positive_matches, w.positive_matches);
+        EXPECT_EQ(g.negative_matches, w.negative_matches);
+        EXPECT_EQ(g.match_stats, w.match_stats);
+        EXPECT_EQ(g.update_stats, w.update_stats);
+      }
+      EXPECT_EQ(got.match_stats, want.match_stats);
+      EXPECT_EQ(got.update_stats, want.update_stats);
+      matches += want.TotalMatches();
+    }
+    EXPECT_GT(matches, 0u) << "no matches; the lockstep check is vacuous";
+    EXPECT_EQ(replica.host_graph(), leader->host_graph());
   }
 }
 
@@ -580,6 +649,26 @@ TEST_F(ReplicaObsTest, ReplicaCountersDeterministicAcrossRuns) {
   obs::MetricsSnapshot second = RunReplicatedSmoke();
   EXPECT_EQ(Deterministic(first), Deterministic(second));
   EXPECT_FALSE(Deterministic(first).empty());
+}
+
+// engine.* counts what drivers digest: the leader's batches, once.
+// Followers replay through Engine::ReplayBatch, which publishes no
+// engine.* counters; their work shows up in replica.applied_*.
+TEST_F(ReplicaObsTest, EngineCountersCountLeaderBatchesOnly) {
+  obs::SetEnabled(true);
+  workload::ScenarioRunner runner(*workload::FindScenario("smoke"),
+                                  workload::kDefaultScenarioSeed);
+  const workload::ScenarioReport report = runner.Run(
+      "replicated(gamma, followers=2, poll_every=1)", EngineOptions{});
+  const obs::MetricsSnapshot snap =
+      obs::MetricsRegistry::Instance().Snapshot();
+  ASSERT_GT(report.total_matches, 0u);
+  EXPECT_EQ(snap.CounterValue("engine.batches"), report.batches.size());
+  EXPECT_EQ(snap.CounterValue("engine.matches.positive") +
+                snap.CounterValue("engine.matches.negative"),
+            report.total_matches);
+  EXPECT_EQ(snap.CounterValue("replica.applied_batches"),
+            2 * report.batches.size());
 }
 
 TEST_F(ReplicaObsTest, FailoverPublishesCounterAndDurationHistogram) {
